@@ -23,8 +23,10 @@ pub const KEY_MAX: u64 = u64::MAX - 1;
 /// # Key range
 ///
 /// Keys must lie in `[KEY_MIN, KEY_MAX]`; the boundary values `0` and
-/// `u64::MAX` are reserved for internal sentinels. Implementations
-/// `debug_assert!` this.
+/// `u64::MAX` are reserved for internal sentinels. The raw implementations
+/// only `debug_assert!` this; the safe sharded entry points
+/// (`ascylib_shard::ShardedMap`, `ascylib_shard::BlobMap`) enforce it in
+/// release builds.
 ///
 /// # Consistency
 ///

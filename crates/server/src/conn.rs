@@ -2,18 +2,19 @@
 //! dispatch, in-order buffered replies, write backpressure.
 //!
 //! A connection is a small explicit state machine driven by
-//! [`Connection::advance`], which a worker calls whenever the event loop
-//! reports the socket ready (or the connection yielded with work still
-//! buffered). One call makes as much progress as the socket allows and then
-//! says how to continue:
+//! [`Connection::advance`], which its owning worker calls whenever that
+//! worker's poller reports the socket ready (or the connection yielded
+//! with work still buffered, or a `MONITOR` sink needs draining). One
+//! call makes as much progress as the socket allows and then says how to
+//! continue:
 //!
 //! * **Reading** — drain the socket into the incremental [`RequestParser`]
 //!   until it would block;
 //! * **Executing** — run every complete frame that arrived (in
 //!   pipeline-sized batches), appending replies to one write buffer in
 //!   request order;
-//! * **Writing** — flush the write buffer; a partial write re-arms the
-//!   connection for *writability* and, crucially, stops reading — a peer
+//! * **Writing** — flush the write buffer; a partial write parks the
+//!   connection on *writability* and, crucially, stops reading — a peer
 //!   that won't drain its replies cannot make the server buffer unboundedly
 //!   (this is what defeats slow-loris-style clients);
 //! * **Closing** — EOF, `QUIT` (answered `+BYE` and flushed first), or an
@@ -21,7 +22,7 @@
 //!
 //! The worker never blocks in here: every socket op is nonblocking, and a
 //! single `advance` bounds its own work so one firehose connection cannot
-//! starve the rest of a worker's ready queue ([`Advance::Yield`]).
+//! starve the worker's other connections ([`Advance::Yield`]).
 //!
 //! `MGET` dispatches through the store's batched lookup into a per-
 //! connection result buffer (the shard layer visits each shard once per
@@ -64,6 +65,9 @@ pub(crate) trait TelemetryHub {
     fn slow_len(&self) -> u64;
     /// Worker thread count.
     fn workers(&self) -> usize;
+    /// Connections each worker currently owns, in worker order (the
+    /// placement gauge: a skewed hand-off shows up here).
+    fn worker_conns(&self) -> Vec<u64>;
     /// Milliseconds since the server started.
     fn uptime_ms(&self) -> u64;
     /// Summed structure-level concurrency counters across every worker
@@ -144,10 +148,12 @@ pub(crate) enum ConnExit {
 
 /// What the serving loop should do with the connection next.
 pub(crate) enum Advance {
-    /// No more progress without the socket: re-arm for the given readiness.
+    /// No more progress without the socket: wait for the given readiness
+    /// (the poller registration changes only if this differs from the last
+    /// one).
     Arm(Interest),
     /// Work remains buffered but this call's fairness budget ran out:
-    /// re-queue the token without touching the poller.
+    /// advance again on the worker's next loop turn.
     Yield,
     /// Done: deregister, drop, free the slot.
     Close(ConnExit),
@@ -178,8 +184,8 @@ const ADVANCE_BUDGET: usize = 32;
 /// (see [`Connection::execute_batch`]).
 const SAMPLE_EVERY: usize = 8;
 
-/// One nonblocking connection owned by the server's registry and advanced
-/// by whichever worker the event loop hands its readiness token to.
+/// One nonblocking connection, owned by one worker's slab and advanced only
+/// by that worker.
 pub(crate) struct Connection {
     stream: TcpStream,
     parser: RequestParser,
@@ -196,7 +202,7 @@ pub(crate) struct Connection {
     /// timer wheel re-checks this lazily at each scheduled deadline).
     pub(crate) last_active: Instant,
     /// Set when a `MONITOR` frame executed: the worker (which knows this
-    /// connection's registry token) must subscribe it to the hub. Carries
+    /// connection's token) must subscribe it to the hub. Carries
     /// the optional sampling stride.
     pending_monitor: Option<Option<u64>>,
     /// The monitor mailbox once subscribed; drained into `wbuf` at the
@@ -232,7 +238,7 @@ impl Connection {
 
     /// Takes the sampling argument of a just-executed `MONITOR` frame, if
     /// any. The worker calls this after `advance` and performs the actual
-    /// hub subscription — only it knows the connection's registry token.
+    /// hub subscription — only it knows the connection's token.
     pub(crate) fn take_pending_monitor(&mut self) -> Option<Option<u64>> {
         self.pending_monitor.take()
     }
@@ -759,7 +765,7 @@ fn execute(req: &Request, ctx: &ConnCtx<'_>, bufs: &mut ConnBufs, out: &mut Vec<
         Request::Metrics => bulk_capped(out, &render_metrics(ctx)),
         Request::Monitor(sample) => {
             // The hub subscription happens back in the worker loop, which
-            // knows this connection's registry token; from the peer's
+            // knows this connection's token; from the peer's
             // view the `+OK` marks the start of the stream.
             wire::simple(out, "OK");
             return Flow::Monitor(*sample);
@@ -819,6 +825,9 @@ fn render_info(ctx: &ConnCtx<'_>, section: Option<&str>) -> Result<String, &'sta
         let _ = writeln!(s, "telemetry:{}", if ctx.recording { "on" } else { "off" });
         let _ = writeln!(s, "slowlog_threshold_ns:{}", ctx.slow_ns);
         let _ = writeln!(s, "curr_connections:{}", totals.curr_connections);
+        let per_worker: Vec<String> =
+            ctx.hub.worker_conns().iter().map(u64::to_string).collect();
+        let _ = writeln!(s, "worker_conns:{}", per_worker.join(","));
         let _ = writeln!(s, "connections:{}", totals.connections);
         let _ = writeln!(s, "accepted:{}", totals.accepted);
         sections.push(s);
@@ -1030,6 +1039,10 @@ fn render_metrics(ctx: &ConnCtx<'_>) -> String {
     let (store_ops, store_hits) = ctx.store.ops_and_hits();
     let mut e = Exposition::new();
     e.gauge("ascy_curr_connections", "Connections currently open.", &[], totals.curr_connections);
+    for (i, n) in ctx.hub.worker_conns().into_iter().enumerate() {
+        let worker = i.to_string();
+        e.gauge("ascy_worker_connections", "Connections currently owned by each worker.", &[("worker", &worker)], n);
+    }
     e.counter("ascy_connections_total", "Connections fully served.", &[], totals.connections);
     e.counter("ascy_accepted_total", "Connections accepted.", &[], totals.accepted);
     e.counter("ascy_timeouts_total", "Connections evicted by the idle timeout.", &[], totals.timeouts);
@@ -1228,6 +1241,9 @@ mod tests {
         }
         fn workers(&self) -> usize {
             1
+        }
+        fn worker_conns(&self) -> Vec<u64> {
+            vec![0]
         }
         fn uptime_ms(&self) -> u64 {
             self.started.elapsed().as_millis() as u64

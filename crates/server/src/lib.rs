@@ -23,16 +23,17 @@
 //! * `conn` (internal) — a nonblocking per-connection **state machine**
 //!   (Reading → Executing → Writing → Closing) with request **pipelining**
 //!   and write backpressure: every complete frame that arrived is executed
-//!   and answered in order; a partial flush re-arms for writability and
+//!   and answered in order; a partial flush waits for writability and
 //!   stops reading, so a peer that won't drain its replies cannot grow
 //!   server buffers; `MGET` dispatches through the shard layer's batched
 //!   `multi_get_into` (no per-batch result allocation).
-//! * [`server`] — the **event-driven** TCP tier: an epoll/poll readiness
-//!   loop (`vendor/polling`, oneshot semantics) dispatching to a small
-//!   worker pool through a generation-tagged slab registry, with idle-
-//!   timeout eviction, per-worker cache-padded stats, graceful
-//!   `QUIT`/shutdown draining, and ephemeral port support for tests.
-//!   Thousands of concurrent connections per handful of worker threads.
+//! * [`server`] — the **event-driven** TCP tier: an acceptor deals
+//!   sockets round-robin to worker threads that each own a level-triggered
+//!   epoll/poll loop (`vendor/polling`), a plain slab of their connections
+//!   and an idle timer wheel — no lock or thread hop on the request path —
+//!   with per-worker cache-padded stats, graceful `QUIT`/shutdown
+//!   draining, and ephemeral port support for tests. Thousands of
+//!   concurrent connections per handful of worker threads.
 //! * [`client`] — a blocking client with typed per-verb calls over `&[u8]`
 //!   values and a [`Pipeline`] that turns `k` round trips into one.
 //! * **Telemetry** (protocol verbs `INFO [section]`, `SLOWLOG

@@ -776,9 +776,9 @@ struct OpenConn {
     /// The next scheduled arrival. Never pushed back by server slowness —
     /// that is the whole point of the open loop.
     next_send: Instant,
-    /// What the poller currently has this socket armed for (`None` after a
-    /// delivered oneshot event).
-    armed: Option<Interest>,
+    /// What the poller has this socket registered for (`None` once the
+    /// connection closed and left the poller).
+    registered: Option<Interest>,
     rng: SmallRng,
     open: bool,
 }
@@ -895,17 +895,22 @@ fn open_drain_replies(
     }
 }
 
-/// Re-arms a connection for what it is actually waiting on: always
-/// readability, plus writability while queued bytes remain.
-fn open_ensure_armed(poller: &Poller, conn: &mut OpenConn, token: u64) {
+/// Keeps a connection's (level-triggered) registration in step with what
+/// it waits on: always readability, plus writability while queued bytes
+/// remain. The poller is touched only when that changes; a closed
+/// connection leaves the poller, so its dead socket cannot report forever.
+fn open_sync_interest(poller: &Poller, conn: &mut OpenConn, token: u64) {
+    let Some(registered) = conn.registered else { return };
+    let fd = conn.stream.as_raw_fd();
     if !conn.open {
+        let _ = poller.deregister(fd);
+        conn.registered = None;
         return;
     }
     let want =
         if conn.wpos < conn.out.len() { Interest::BOTH } else { Interest::READABLE };
-    if conn.armed != Some(want) && poller.rearm(conn.stream.as_raw_fd(), token, want).is_ok()
-    {
-        conn.armed = Some(want);
+    if registered != want && poller.modify(fd, token, want).is_ok() {
+        conn.registered = Some(want);
     }
 }
 
@@ -950,7 +955,7 @@ fn run_open(
                             wpos: 0,
                             pending: VecDeque::new(),
                             next_send: Instant::now(), // re-based after the barrier
-                            armed: Some(Interest::READABLE),
+                            registered: Some(Interest::READABLE),
                             rng: SmallRng::seed_from_u64(
                                 cfg.seed ^ ((global_id as u64 + 1) * 0x9E37_79B9),
                             ),
@@ -1025,7 +1030,7 @@ fn run_open(
                             conn.next_send += interarrival(arrival, mean_ns, &mut conn.rng);
                         }
                         open_flush(conn);
-                        open_ensure_armed(&poller, conn, i as u64);
+                        open_sync_interest(&poller, conn, i as u64);
                         if conn.open {
                             min_next = Some(match min_next {
                                 Some(t) => t.min(conn.next_send),
@@ -1045,14 +1050,13 @@ fn run_open(
                     let _ = poller.wait(&mut events, Some(timeout));
                     for ev in events.iter() {
                         let conn = &mut conns[ev.token as usize];
-                        conn.armed = None;
                         if ev.readable {
                             open_drain_replies(conn, &mut out, &mut chunk, hist);
                         }
                         if ev.writable && conn.open {
                             open_flush(conn);
                         }
-                        open_ensure_armed(&poller, conn, ev.token);
+                        open_sync_interest(&poller, conn, ev.token);
                     }
                     if let Some(b) = board {
                         b.publish(driver, &out);
@@ -1072,14 +1076,13 @@ fn run_open(
                     let _ = poller.wait(&mut events, Some(Duration::from_millis(20)));
                     for ev in events.iter() {
                         let conn = &mut conns[ev.token as usize];
-                        conn.armed = None;
                         if ev.readable {
                             open_drain_replies(conn, &mut out, &mut chunk, hist);
                         }
                         if ev.writable && conn.open {
                             open_flush(conn);
                         }
-                        open_ensure_armed(&poller, conn, ev.token);
+                        open_sync_interest(&poller, conn, ev.token);
                     }
                 }
                 for conn in &conns {

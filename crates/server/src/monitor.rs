@@ -3,16 +3,14 @@
 //!
 //! # Why an intermediate queue
 //!
-//! A worker publishing an event holds its own connection's slot lock (it
-//! is inside that connection's `advance`). Writing directly into a
-//! subscriber's output buffer would mean taking a *second* slot lock while
-//! holding the first — and two workers publishing to each other's
-//! subscriber connections is then a textbook AB-BA deadlock. So the hub
-//! never touches a subscriber's `Connection`: events land in a
-//! per-subscriber [`MonitorSink`] (a small mutex-guarded frame queue), the
-//! publisher notes the subscriber's token in a wake list, and the
-//! *subscriber's own worker* — woken through the ordinary ready queue —
-//! drains the sink into its write buffer under its own slot lock.
+//! A worker publishing an event is inside its own connection's `advance`,
+//! and the subscriber's `Connection` usually belongs to another worker —
+//! it lives in that worker's thread-local slab, which no other thread may
+//! touch. So the hub never touches a subscriber's `Connection`: events
+//! land in a per-subscriber [`MonitorSink`] (a small mutex-guarded frame
+//! queue), the publisher notes the subscriber's token in a wake list, and
+//! the *subscriber's own worker* — woken through its inbox, which the
+//! token's worker bits name — drains the sink into its write buffer.
 //!
 //! # Flow control
 //!
@@ -103,8 +101,8 @@ struct SinkQueue {
 /// drops and the hub prunes the sink on the next publish or scrape.
 #[derive(Debug)]
 pub(crate) struct MonitorSink {
-    /// Registry token of the subscribing connection (what the wake list
-    /// carries back to `Shared::enqueue`).
+    /// Token of the subscribing connection (what the wake list carries
+    /// back to the owning worker's inbox).
     token: u64,
     /// Keep every `sample_n`-th eligible event (>= 1).
     sample_n: u64,
@@ -282,9 +280,14 @@ impl MonitorHub {
 
     /// Takes the pending wake tokens (empty almost always: one relaxed
     /// load when nothing is pending). Workers call this after each
-    /// connection pass and `enqueue` every token returned.
+    /// connection pass and route every token returned to its owner.
     pub(crate) fn take_wakes(&self) -> Vec<u64> {
-        if !self.has_wakes.swap(false, Ordering::AcqRel) {
+        // Load before swapping: the common no-wake case stays a read, so
+        // the flag's line stays shared by the workers checking it after
+        // every pass instead of bouncing between them.
+        if !self.has_wakes.load(Ordering::Relaxed)
+            || !self.has_wakes.swap(false, Ordering::AcqRel)
+        {
             return Vec::new();
         }
         std::mem::take(&mut *self.wakes.lock().unwrap())

@@ -1,55 +1,58 @@
-//! The TCP serving tier: an event-driven readiness loop over a worker pool.
+//! The TCP serving tier: worker-owned, level-triggered event loops.
 //!
-//! [`Server::start`] binds a nonblocking listener and spawns one **event
-//! loop** thread plus `N` **worker** threads. The event loop owns a oneshot
-//! [`Poller`] (epoll on Linux, poll(2) elsewhere — see `vendor/polling`):
-//! it accepts new sockets, registers each under a generation-tagged token,
-//! and pushes ready tokens onto a queue the workers drain. A worker locks
-//! the connection's slot, drives its state machine (`Connection::advance`
-//! in `conn.rs`) as far as the socket allows, and re-arms the descriptor
-//! for whatever readiness the machine is waiting on.
+//! [`Server::start`] binds a nonblocking listener and spawns one
+//! **acceptor** thread plus `N` **worker** threads. Each worker owns
+//! everything its connections need and shares none of it on the request
+//! path: a private level-triggered [`Poller`] (epoll on Linux, poll(2)
+//! elsewhere — see `vendor/polling`), a plain slab of its connections, a
+//! yield queue and an idle timer wheel. A request is read, parsed,
+//! executed and answered by the thread that `epoll_wait`ed for it, with no
+//! lock taken and no thread crossed on the way.
 //!
-//! **Why oneshot readiness:** a delivered event disarms the descriptor
-//! until the serving worker re-arms it, so two workers can never be woken
-//! for the same connection — cross-thread dispatch is race-free by
-//! construction, and each connection's frames stay strictly ordered.
+//! **Accepting:** the acceptor owns only the listener. It hands each
+//! accepted socket, round-robin in accept order, to the next worker's
+//! inbox (one mutex-guarded vector per worker) and wakes that worker with
+//! [`Poller::notify`]. The worker adopts it into its slab and registers
+//! the descriptor once, for readability, in its own poller.
 //!
-//! **Capacity:** connections are no longer pinned to threads. A handful of
-//! workers serves any number of concurrent connections (the registry grows
-//! slab-style, slots are recycled through a free list), bounded by file
-//! descriptors rather than threads — this is the refactor that takes the
-//! tier from `workers` concurrent clients to thousands.
+//! **Why no oneshot:** a descriptor lives in exactly one worker's poller
+//! and only that worker waits on it, so two threads can never advance the
+//! same connection. Readiness can therefore stay level-triggered: the
+//! worker changes a registration (`epoll_ctl` MOD) only when what the
+//! connection waits for changes — readable ↔ writable on a blocked flush —
+//! never once per event. While a flush is blocked the registration asks
+//! for writability alone, so a peer that stops reading stops being read
+//! and cannot spin the loop.
 //!
-//! **Token hygiene:** a token packs `(generation << 32) | slot-index`. The
-//! generation bumps whenever a slot's connection closes, so a stale token —
-//! still in the ready queue, or filed in the idle timer wheel — fails the
-//! generation check and is dropped instead of touching a recycled slot.
-//! Descriptors are closed while the slot lock is held, which is what makes
-//! a worker's re-arm race against fd reuse impossible.
+//! **Tokens:** a token packs `(worker << 48) | (generation << 32) |
+//! slab index`. The worker bits route cross-thread wakes (`MONITOR`
+//! subscribers are woken through their owner's inbox); the generation
+//! bumps whenever a slot's connection closes, so a stale token — in the
+//! yield queue, the timer wheel or an inbox — fails the check and is
+//! dropped instead of touching a recycled slot.
 //!
-//! **Idle eviction:** the event loop files one deadline per connection in a
-//! coarse timer wheel (`timer.rs`) and lazily re-checks `last_active` when it comes
-//! due — active connections just reschedule, idle ones (and slow-loris
-//! trickles that never complete a frame... which *do* update `last_active`,
-//! so "idle" means no socket progress at all) are closed and counted in
-//! `timeouts`.
+//! **Idle eviction:** each worker files one deadline per connection in a
+//! coarse timer wheel (`timer.rs`) and lazily re-checks `last_active` when
+//! it comes due — active connections just reschedule, idle ones (and
+//! slow-loris trickles that never complete a frame... which *do* update
+//! `last_active`, so "idle" means no socket progress at all) are closed
+//! and counted in `timeouts`.
 //!
-//! **Shutdown** ([`ServerHandle::shutdown`]) is graceful and bounded: the
-//! event loop wakes via [`Poller::notify`], stops accepting, best-effort
-//! flushes every live connection's buffered replies, and closes them;
-//! workers drain and exit. [`ServerHandle::join`] (or dropping the handle)
-//! blocks until every thread has exited.
+//! **Shutdown** ([`ServerHandle::shutdown`]) is graceful and bounded: it
+//! notifies the acceptor and every worker; the acceptor stops accepting,
+//! and each worker best-effort flushes its own connections' buffered
+//! replies and closes them. [`ServerHandle::join`] (or dropping the
+//! handle) blocks until every thread has exited.
 //!
 //! Per-worker counters live in cache-line-padded blocks
-//! ([`crate::stats::WorkerStats`]); the event loop owns one extra block for
-//! accept/timeout/wakeup counts.
+//! ([`crate::stats::WorkerStats`]); `wakeups` counts the events each
+//! worker's poller delivered.
 
-use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -114,88 +117,74 @@ impl ServerConfig {
     }
 }
 
-/// Reserved readiness token for the listening socket (distinct from every
-/// `(generation, index)` connection token in practice, and from the
-/// poller's internal waker at `u64::MAX`).
-const LISTENER_TOKEN: u64 = u64::MAX - 1;
-
-/// Most sockets accepted per listener readiness event before re-arming, so
-/// an accept flood cannot starve ready-connection dispatch.
-const ACCEPT_BURST: usize = 64;
+/// Most workers a server runs: the worker index fills a token's top 16
+/// bits, and this cap keeps every token clear of the poller's reserved
+/// `u64::MAX`.
+const MAX_WORKERS: usize = 1 << 12;
 
 #[inline]
-fn make_token(idx: u32, gen: u32) -> u64 {
-    ((gen as u64) << 32) | idx as u64
+fn make_token(worker: usize, idx: u32, gen: u16) -> u64 {
+    ((worker as u64) << 48) | ((gen as u64) << 32) | idx as u64
 }
 
 #[inline]
-fn split_token(token: u64) -> (u32, u32) {
-    (token as u32, (token >> 32) as u32)
+fn token_worker(token: u64) -> usize {
+    (token >> 48) as usize
 }
 
-/// One registry slot: the connection (if open) and the generation its
-/// token must carry to be considered current.
-struct Slot {
-    gen: u32,
-    conn: Option<Connection>,
+#[inline]
+fn split_token(token: u64) -> (u32, u16) {
+    (token as u32, (token >> 32) as u16)
 }
 
-/// Slab-style connection registry: an append-only vector of slots plus a
-/// free list. Lookup by index is a read-lock and a clone of the slot's
-/// `Arc`; the vector's write lock is taken only when the slab grows.
-struct Registry {
-    slots: RwLock<Vec<Arc<Mutex<Slot>>>>,
-    free: Mutex<Vec<u32>>,
+/// What the acceptor and other workers hand a worker through its inbox.
+enum Handoff {
+    /// A freshly accepted socket to adopt.
+    Conn(TcpStream),
+    /// A `MONITOR` subscriber's sink went non-empty: advance its
+    /// connection.
+    Wake(u64),
 }
 
-impl Registry {
-    fn new() -> Registry {
-        Registry { slots: RwLock::new(Vec::new()), free: Mutex::new(Vec::new()) }
+/// The cross-thread face of one worker: its poller (so others can wake
+/// it), its inbox, and its open-connection gauge. Everything else a worker
+/// uses is local to its thread.
+struct WorkerPort {
+    poller: Poller,
+    inbox: Mutex<Vec<Handoff>>,
+    /// Set after every push, so the worker takes the inbox lock only when
+    /// there is mail — never on a plain readiness wakeup.
+    mail: AtomicBool,
+    /// Connections this worker currently owns.
+    conns: AtomicU64,
+}
+
+impl WorkerPort {
+    fn send(&self, msg: Handoff) {
+        self.inbox.lock().expect("inbox poisoned").push(msg);
+        self.mail.store(true, Ordering::Release);
+        let _ = self.poller.notify();
     }
 
-    /// A free slot (recycled or freshly grown) and its index.
-    fn alloc(&self) -> (u32, Arc<Mutex<Slot>>) {
-        if let Some(idx) = self.free.lock().expect("free list poisoned").pop() {
-            let slot =
-                Arc::clone(&self.slots.read().expect("registry poisoned")[idx as usize]);
-            return (idx, slot);
+    /// Moves any pending hand-offs into `out` (empty on return otherwise).
+    fn take_mail(&self, out: &mut Vec<Handoff>) {
+        if self.mail.load(Ordering::Relaxed) && self.mail.swap(false, Ordering::Acquire) {
+            std::mem::swap(&mut *self.inbox.lock().expect("inbox poisoned"), out);
         }
-        let mut slots = self.slots.write().expect("registry poisoned");
-        let idx = slots.len() as u32;
-        let slot = Arc::new(Mutex::new(Slot { gen: 0, conn: None }));
-        slots.push(Arc::clone(&slot));
-        (idx, slot)
-    }
-
-    fn slot(&self, idx: u32) -> Option<Arc<Mutex<Slot>>> {
-        self.slots.read().expect("registry poisoned").get(idx as usize).cloned()
-    }
-
-    /// Returns `idx` to the free list. Call only after the slot's
-    /// connection was taken and its generation bumped.
-    fn release(&self, idx: u32) {
-        self.free.lock().expect("free list poisoned").push(idx);
-    }
-
-    fn all(&self) -> Vec<Arc<Mutex<Slot>>> {
-        self.slots.read().expect("registry poisoned").clone()
     }
 }
 
-/// Shared state between the event loop, the workers, and the handle.
+/// State shared by the acceptor, the workers, and the handle. Nothing in
+/// here is touched per request except the worker's own padded blocks.
 struct Shared {
     store: Arc<dyn KvStore>,
     shutdown: AtomicBool,
-    poller: Poller,
-    registry: Registry,
-    /// Tokens whose connections are ready to advance.
-    ready: Mutex<VecDeque<u64>>,
-    available: Condvar,
-    /// `workers` blocks for the workers plus one trailing block owned by
-    /// the event loop (accepts, timeouts, wakeups, swept connections).
+    /// The acceptor's poller: the listener only.
+    acceptor: Poller,
+    ports: Box<[CachePadded<WorkerPort>]>,
+    /// One counter block per worker.
     stats: Box<[CachePadded<WorkerStats>]>,
-    /// One telemetry block per worker (the event loop executes no frames,
-    /// so it needs none).
+    /// One telemetry block per worker.
     tel: Box<[CachePadded<WorkerTelemetry>]>,
     /// One structure-level concurrency block per worker: each worker
     /// drains its thread-local [`ascylib::stats::OpCounters`] delta and
@@ -207,8 +196,6 @@ struct Shared {
     window: WindowRing,
     /// The `MONITOR` broadcast hub.
     monitor: MonitorHub,
-    /// Gauge of currently open connections.
-    curr_conns: AtomicU64,
     started: Instant,
     config: ServerConfig,
 }
@@ -221,26 +208,8 @@ impl Shared {
         }
         // Gauge contract (see `stats.rs`): the merge leaves the gauge at
         // zero; the aggregator overwrites it from the live source.
-        total.curr_connections = self.curr_conns.load(Ordering::Relaxed);
+        total.curr_connections = self.worker_conns().iter().sum();
         total
-    }
-
-    fn enqueue(&self, token: u64) {
-        self.ready.lock().expect("ready queue poisoned").push_back(token);
-        self.available.notify_one();
-    }
-
-    /// Takes the connection out of a locked slot, deregisters it, and
-    /// closes it — all under the slot lock, so a racing worker can never
-    /// re-arm a recycled descriptor. The caller releases the index (after
-    /// dropping the lock) and does its own counting.
-    fn retire(&self, slot: &mut Slot) {
-        if let Some(conn) = slot.conn.take() {
-            let _ = self.poller.deregister(conn.fd());
-            drop(conn);
-            self.curr_conns.fetch_sub(1, Ordering::Relaxed);
-        }
-        slot.gen = slot.gen.wrapping_add(1);
     }
 }
 
@@ -272,6 +241,10 @@ impl TelemetryHub for Shared {
 
     fn workers(&self) -> usize {
         self.config.workers
+    }
+
+    fn worker_conns(&self) -> Vec<u64> {
+        self.ports.iter().map(|p| p.conns.load(Ordering::Relaxed)).collect()
     }
 
     fn uptime_ms(&self) -> u64 {
@@ -314,14 +287,15 @@ impl TelemetryHub for Shared {
     }
 }
 
+
 /// The serving tier. Construct with [`Server::start`]; the returned
 /// [`ServerHandle`] owns the threads.
 pub struct Server;
 
 impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port — the bound address
-    /// is on the handle) and starts the event loop + worker threads serving
-    /// `store`.
+    /// is on the handle) and starts the acceptor + worker threads serving
+    /// `store`. At most 4096 workers are started.
     pub fn start<S: KvStore>(
         addr: impl ToSocketAddrs,
         store: S,
@@ -335,22 +309,29 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let workers = config.workers.max(1);
-        let poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
+        let workers = config.workers.clamp(1, MAX_WORKERS);
+        let acceptor = Poller::new()?;
+        acceptor.register(listener.as_raw_fd(), 0, Interest::READABLE)?;
+        let ports = (0..workers)
+            .map(|_| {
+                Ok(CachePadded::new(WorkerPort {
+                    poller: Poller::new()?,
+                    inbox: Mutex::new(Vec::new()),
+                    mail: AtomicBool::new(false),
+                    conns: AtomicU64::new(0),
+                }))
+            })
+            .collect::<io::Result<_>>()?;
         let shared = Arc::new(Shared {
             store: Arc::new(store),
             shutdown: AtomicBool::new(false),
-            poller,
-            registry: Registry::new(),
-            ready: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            stats: (0..workers + 1).map(|_| CachePadded::new(WorkerStats::default())).collect(),
+            acceptor,
+            ports,
+            stats: (0..workers).map(|_| CachePadded::new(WorkerStats::default())).collect(),
             tel: (0..workers).map(|_| CachePadded::new(WorkerTelemetry::new())).collect(),
             conc: (0..workers).map(|_| CachePadded::new(ConcurrencyStats::default())).collect(),
             window: WindowRing::new(DEFAULT_WINDOW_INTERVAL_NS, DEFAULT_WINDOW_CAPACITY),
             monitor: MonitorHub::default(),
-            curr_conns: AtomicU64::new(0),
             started: Instant::now(),
             config: ServerConfig { workers, ..config },
         });
@@ -360,8 +341,8 @@ impl Server {
             let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
-                    .name("ascy-events".into())
-                    .spawn(move || event_loop(listener, &shared))?,
+                    .name("ascy-accept".into())
+                    .spawn(move || accept_loop(listener, &shared))?,
             );
         }
         for i in 0..workers {
@@ -376,210 +357,229 @@ impl Server {
     }
 }
 
-fn event_loop(listener: TcpListener, shared: &Shared) {
-    // The trailing stats block belongs to the event loop.
-    let stats = &shared.stats[shared.config.workers];
-    let idle = shared.config.idle_timeout;
-    let mut wheel = idle.map(|t| {
-        let gran = (t / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
-        TimerWheel::new(t, gran, Instant::now())
-    });
-    let tick = wheel.as_ref().map_or(Duration::from_millis(200), |w| w.granularity());
+/// The acceptor: drains the listener on every readiness event and deals
+/// the sockets out round-robin, in accept order.
+fn accept_loop(listener: TcpListener, shared: &Shared) {
     let mut events = Events::new();
-    let mut expired: Vec<u64> = Vec::new();
-
+    let mut next = 0;
     while !shared.shutdown.load(Ordering::Acquire) {
-        if shared.poller.wait(&mut events, Some(tick)).is_err() {
+        if shared.acceptor.wait(&mut events, None).is_err() {
             break;
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        for ev in events.iter() {
-            if ev.token == LISTENER_TOKEN {
-                accept_burst(&listener, shared, stats, wheel.as_mut(), idle);
-                let _ = shared.poller.rearm(
-                    listener.as_raw_fd(),
-                    LISTENER_TOKEN,
-                    Interest::READABLE,
-                );
-            } else {
-                WorkerStats::bump(&stats.wakeups, 1);
-                shared.enqueue(ev.token);
-            }
-        }
-        if let (Some(wheel), Some(idle)) = (wheel.as_mut(), idle) {
-            expired.clear();
-            wheel.advance(Instant::now(), &mut expired);
-            for &token in &expired {
-                check_idle(shared, stats, wheel, token, idle);
-            }
+        // Until WouldBlock (drained). Any other error (e.g. an aborted
+        // handshake) is transient: a still-pending connection keeps the
+        // listener readable, so the next wait retries.
+        while let Ok((stream, _peer)) = listener.accept() {
+            shared.ports[next].send(Handoff::Conn(stream));
+            next = (next + 1) % shared.ports.len();
         }
     }
-
-    // Final sweep: flush what was already computed, close everything. Swept
-    // connections count as served so accept/close bookkeeping balances.
-    for slot_arc in shared.registry.all() {
-        let mut slot = slot_arc.lock().expect("slot poisoned");
-        if let Some(conn) = slot.conn.as_mut() {
-            conn.final_flush(stats);
-            shared.retire(&mut slot);
-            WorkerStats::bump(&stats.connections, 1);
-        }
-    }
-    shared.ready.lock().expect("ready queue poisoned").clear();
     // Dropping the listener here closes the accept socket.
 }
 
-fn accept_burst(
-    listener: &TcpListener,
-    shared: &Shared,
-    stats: &WorkerStats,
-    mut wheel: Option<&mut TimerWheel>,
-    idle: Option<Duration>,
-) {
-    for _ in 0..ACCEPT_BURST {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            // Transient accept failure (e.g. aborted handshake): the
-            // listener re-arms and the next readiness event retries.
-            Err(_) => break,
-        };
-        let Ok(conn) = Connection::new(stream) else { continue };
-        let fd = conn.fd();
-        let (idx, slot_arc) = shared.registry.alloc();
-        let mut slot = slot_arc.lock().expect("slot poisoned");
-        let token = make_token(idx, slot.gen);
-        if shared.poller.register(fd, token, Interest::READABLE).is_err() {
-            slot.gen = slot.gen.wrapping_add(1);
-            drop(slot);
-            shared.registry.release(idx);
-            continue;
-        }
-        slot.conn = Some(conn);
-        drop(slot);
-        WorkerStats::bump(&stats.accepted, 1);
-        shared.curr_conns.fetch_add(1, Ordering::Relaxed);
-        if let (Some(wheel), Some(idle)) = (wheel.as_deref_mut(), idle) {
-            wheel.schedule(token, Instant::now() + idle);
-        }
-    }
+/// One slab entry: the connection, if the slot is live, the generation
+/// its token must carry to be current, and the interest it is registered
+/// with.
+struct Slot {
+    gen: u16,
+    conn: Option<Connection>,
+    interest: Interest,
 }
 
-/// A wheel deadline came due: evict if the connection really made no
-/// progress for the whole timeout, otherwise reschedule from its actual
-/// last activity (the lazy re-check that keeps activity O(1)).
-fn check_idle(
-    shared: &Shared,
-    stats: &WorkerStats,
-    wheel: &mut TimerWheel,
-    token: u64,
-    idle: Duration,
-) {
-    let (idx, gen) = split_token(token);
-    let Some(slot_arc) = shared.registry.slot(idx) else { return };
-    let mut slot = slot_arc.lock().expect("slot poisoned");
-    if slot.gen != gen {
-        return; // stale: the connection this deadline was for is gone
-    }
-    let Some(conn) = slot.conn.as_ref() else { return };
-    let deadline = conn.last_active + idle;
-    if Instant::now() >= deadline {
-        shared.retire(&mut slot);
-        drop(slot);
-        shared.registry.release(idx);
-        WorkerStats::bump(&stats.timeouts, 1);
-        WorkerStats::bump(&stats.connections, 1);
-    } else {
-        drop(slot);
-        wheel.schedule(token, deadline);
-    }
+/// A worker's thread-local state. Only its own thread ever touches it.
+struct Worker<'a> {
+    me: usize,
+    shared: &'a Shared,
+    port: &'a WorkerPort,
+    stats: &'a WorkerStats,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Connections that yielded with work still buffered; advanced again
+    /// on the next loop turn.
+    yielded: Vec<u64>,
+    wheel: Option<TimerWheel>,
+    chunk: Vec<u8>,
 }
 
-fn worker_loop(index: usize, shared: &Shared) {
-    let stats = &shared.stats[index];
+fn worker_loop(me: usize, shared: &Shared) {
+    let stats = &shared.stats[me];
     let totals = || shared.totals();
     let ctx = ConnCtx {
         store: &*shared.store,
         max_pipeline: shared.config.max_pipeline,
         stats,
         totals: &totals,
-        tel: &shared.tel[index],
+        tel: &shared.tel[me],
         hub: shared,
         recording: shared.config.telemetry,
         slow_ns: shared.config.slowlog_threshold.as_nanos().min(u64::MAX as u128) as u64,
-        worker: index as u32,
+        worker: me as u32,
         monitor: &shared.monitor,
     };
-    let mut chunk = vec![0u8; 16 * 1024];
-    loop {
-        let token = {
-            let mut ready = shared.ready.lock().expect("ready queue poisoned");
-            loop {
-                if let Some(token) = ready.pop_front() {
-                    break Some(token);
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                let (guard, _timeout) = shared
-                    .available
-                    .wait_timeout(ready, Duration::from_millis(100))
-                    .expect("ready queue poisoned");
-                ready = guard;
-            }
-        };
-        let Some(token) = token else { return };
-        let (idx, gen) = split_token(token);
-        let Some(slot_arc) = shared.registry.slot(idx) else { continue };
-        let mut slot = slot_arc.lock().expect("slot poisoned");
-        if slot.gen != gen {
-            continue; // stale wakeup for a recycled slot
+    let idle = shared.config.idle_timeout;
+    let mut w = Worker {
+        me,
+        shared,
+        port: &shared.ports[me],
+        stats,
+        slots: Vec::new(),
+        free: Vec::new(),
+        yielded: Vec::new(),
+        wheel: idle.map(|t| {
+            let gran = (t / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
+            TimerWheel::new(t, gran, Instant::now())
+        }),
+        chunk: vec![0u8; 16 * 1024],
+    };
+    let tick = w.wheel.as_ref().map(TimerWheel::granularity);
+    let mut events = Events::new();
+    let mut inbox = Vec::new();
+    let mut yielded = Vec::new();
+    let mut expired = Vec::new();
+
+    while !shared.shutdown.load(Ordering::Acquire) {
+        let timeout = if w.yielded.is_empty() { tick } else { Some(Duration::ZERO) };
+        if w.port.poller.wait(&mut events, timeout).is_err() {
+            break;
         }
-        let Some(conn) = slot.conn.as_mut() else { continue };
-        let fd = conn.fd();
-        let outcome = conn.advance(&ctx, &mut chunk);
-        // A MONITOR frame executed this pass: perform the subscription
-        // here, where the connection's registry token is known (the wake
-        // path enqueues exactly this token).
+        if shared.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        w.port.take_mail(&mut inbox);
+        for msg in inbox.drain(..) {
+            match msg {
+                Handoff::Conn(stream) => w.adopt(stream),
+                Handoff::Wake(token) => w.run(&ctx, token),
+            }
+        }
+        WorkerStats::bump(&stats.wakeups, events.len() as u64);
+        for ev in events.iter() {
+            w.run(&ctx, ev.token);
+        }
+        std::mem::swap(&mut w.yielded, &mut yielded);
+        for token in yielded.drain(..) {
+            w.run(&ctx, token);
+        }
+        if let (Some(wheel), Some(idle)) = (w.wheel.as_mut(), idle) {
+            wheel.advance(Instant::now(), &mut expired);
+            for token in expired.drain(..) {
+                w.check_idle(token, idle);
+            }
+        }
+    }
+
+    // Final sweep: flush what was already computed, close everything. Swept
+    // connections count as served so accept/close bookkeeping balances;
+    // sockets still in the inbox were never adopted and just close.
+    for idx in 0..w.slots.len() {
+        if let Some(conn) = w.slots[idx].conn.as_mut() {
+            conn.final_flush(stats);
+            w.close(idx as u32);
+        }
+    }
+    w.port.inbox.lock().expect("inbox poisoned").clear();
+}
+
+impl Worker<'_> {
+    /// Takes ownership of an accepted socket: a slab slot, a readable
+    /// registration in this worker's poller, an idle deadline.
+    fn adopt(&mut self, stream: TcpStream) {
+        let Ok(conn) = Connection::new(stream) else { return };
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot { gen: 0, conn: None, interest: Interest::READABLE });
+            (self.slots.len() - 1) as u32
+        });
+        let slot = &mut self.slots[idx as usize];
+        let token = make_token(self.me, idx, slot.gen);
+        if self.port.poller.register(conn.fd(), token, Interest::READABLE).is_err() {
+            self.free.push(idx);
+            return;
+        }
+        slot.conn = Some(conn);
+        slot.interest = Interest::READABLE;
+        WorkerStats::bump(&self.stats.accepted, 1);
+        self.port.conns.fetch_add(1, Ordering::Relaxed);
+        if let (Some(wheel), Some(idle)) = (self.wheel.as_mut(), self.shared.config.idle_timeout)
+        {
+            wheel.schedule(token, Instant::now() + idle);
+        }
+    }
+
+    /// Advances the connection behind `token` (if it is still current) as
+    /// far as its socket allows, then files it for what it waits on next.
+    fn run(&mut self, ctx: &ConnCtx<'_>, token: u64) {
+        let (idx, gen) = split_token(token);
+        let Some(slot) = self.slots.get_mut(idx as usize) else { return };
+        if slot.gen != gen {
+            return; // stale: the connection this token named is gone
+        }
+        let Some(conn) = slot.conn.as_mut() else { return };
+        let outcome = conn.advance(ctx, &mut self.chunk);
+        // A MONITOR frame executed this pass: subscribe under this token,
+        // which routes the hub's wakes back to this worker.
         if let Some(sample) = conn.take_pending_monitor() {
-            conn.attach_monitor(shared.monitor.subscribe(token, sample));
+            conn.attach_monitor(self.shared.monitor.subscribe(token, sample));
+        }
+        let keep = match outcome {
+            Advance::Arm(interest) if interest == slot.interest => true,
+            // The one steady-state `epoll_ctl`: a flush blocked (or
+            // unblocked), so the connection now waits for the other
+            // direction.
+            Advance::Arm(interest) => {
+                slot.interest = interest;
+                self.port.poller.modify(conn.fd(), token, interest).is_ok()
+            }
+            Advance::Yield => {
+                self.yielded.push(token);
+                true
+            }
+            Advance::Close(_exit) => false,
+        };
+        if !keep {
+            self.close(idx);
         }
         // Per-pass drain: fold the structure-level counter deltas this
         // pass generated (the store work ran on this thread) into the
         // worker's padded block, and refresh the allocator absolutes.
-        shared.conc[index].fold_ops(&ascylib::stats::drain_delta());
-        shared.conc[index].set_ssmem(&ascylib_ssmem::thread_stats());
+        self.shared.conc[self.me].fold_ops(&ascylib::stats::drain_delta());
+        self.shared.conc[self.me].set_ssmem(&ascylib_ssmem::thread_stats());
         // Wake subscribers whose monitor sinks went non-empty under this
-        // pass's publishes.
-        for wake in shared.monitor.take_wakes() {
-            shared.enqueue(wake);
+        // pass's publishes, each on the worker that owns it.
+        for wake in self.shared.monitor.take_wakes() {
+            match token_worker(wake) {
+                owner if owner == self.me => self.yielded.push(wake),
+                owner => self.shared.ports[owner].send(Handoff::Wake(wake)),
+            }
         }
-        match outcome {
-            Advance::Arm(interest) => {
-                // Re-arm while still holding the slot lock: eviction closes
-                // descriptors under this same lock, so the fd cannot have
-                // been recycled out from under the token.
-                if shared.poller.rearm(fd, token, interest).is_ok() {
-                    continue;
-                }
-                // Un-armable (poller torn down or fd invalid): close.
-                shared.retire(&mut slot);
-                drop(slot);
-                shared.registry.release(idx);
-                WorkerStats::bump(&stats.connections, 1);
-            }
-            Advance::Yield => {
-                drop(slot);
-                shared.enqueue(token);
-            }
-            Advance::Close(_exit) => {
-                shared.retire(&mut slot);
-                drop(slot);
-                shared.registry.release(idx);
-                WorkerStats::bump(&stats.connections, 1);
-            }
+    }
+
+    /// A wheel deadline came due: evict if the connection really made no
+    /// progress for the whole timeout, otherwise reschedule from its actual
+    /// last activity (the lazy re-check that keeps activity O(1)).
+    fn check_idle(&mut self, token: u64, idle: Duration) {
+        let (idx, gen) = split_token(token);
+        let Some(slot) = self.slots.get(idx as usize) else { return };
+        let Some(conn) = slot.conn.as_ref().filter(|_| slot.gen == gen) else { return };
+        let deadline = conn.last_active + idle;
+        if Instant::now() >= deadline {
+            self.close(idx);
+            WorkerStats::bump(&self.stats.timeouts, 1);
+        } else if let Some(wheel) = self.wheel.as_mut() {
+            wheel.schedule(token, deadline);
+        }
+    }
+
+    /// Deregisters and closes the slot's connection, counts it served, and
+    /// recycles the slot under a new generation.
+    fn close(&mut self, idx: u32) {
+        let slot = &mut self.slots[idx as usize];
+        if let Some(conn) = slot.conn.take() {
+            let _ = self.port.poller.deregister(conn.fd());
+            drop(conn);
+            self.port.conns.fetch_sub(1, Ordering::Relaxed);
+            WorkerStats::bump(&self.stats.connections, 1);
+            slot.gen = slot.gen.wrapping_add(1);
+            self.free.push(idx);
         }
     }
 }
@@ -636,11 +636,13 @@ impl ServerHandle {
     /// buffered replies, close connections.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        let _ = self.shared.poller.notify();
-        self.shared.available.notify_all();
+        let _ = self.shared.acceptor.notify();
+        for port in self.shared.ports.iter() {
+            let _ = port.poller.notify();
+        }
     }
 
-    /// Shuts down, blocks until the event loop and every worker exited, and
+    /// Shuts down, blocks until the acceptor and every worker exited, and
     /// returns the final (race-free: all threads joined) counters.
     pub fn join(mut self) -> ServerStatsSnapshot {
         self.join_inner();

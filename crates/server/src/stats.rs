@@ -3,10 +3,10 @@
 //! Each worker thread owns one cache-line-padded [`WorkerStats`] block, so
 //! hot-path counting never bounces a line between workers (the same
 //! observability-without-false-sharing discipline as
-//! `ascylib_shard::stats`). The event loop owns one extra block for the
-//! counters only it maintains (accepts, idle-timeout evictions, readiness
-//! wakeups). Aggregation walks the blocks only when a snapshot is requested
-//! (`STATS` frames, [`crate::server::ServerHandle`]).
+//! `ascylib_shard::stats`). Every worker runs its own event loop, so its
+//! block also carries that loop's accepts, idle-timeout evictions and
+//! readiness wakeups. Aggregation walks the blocks only when a snapshot is
+//! requested (`STATS` frames, [`crate::server::ServerHandle`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,14 +23,14 @@ use ascylib_ssmem::SsmemStats;
 pub struct WorkerStats {
     /// Connections fully served (accepted, drained, closed).
     pub connections: AtomicU64,
-    /// Connections accepted (event-loop block only).
+    /// Connections this worker adopted from the acceptor.
     pub accepted: AtomicU64,
-    /// Connections evicted by the idle timeout (event-loop block only).
+    /// Connections this worker evicted by the idle timeout.
     pub timeouts: AtomicU64,
-    /// Readiness events dispatched to workers (event-loop block only).
+    /// Readiness events this worker's poller delivered.
     pub wakeups: AtomicU64,
-    /// Reply flushes that hit `WouldBlock` mid-buffer and had to re-arm the
-    /// connection for writability.
+    /// Reply flushes that hit `WouldBlock` mid-buffer and had to wait for
+    /// writability.
     pub partial_writes: AtomicU64,
     /// Well-formed request frames executed.
     pub frames: AtomicU64,
@@ -85,7 +85,7 @@ impl WorkerStats {
 /// full snapshots would double-count it, so
 /// [`merge_counters`](Self::merge_counters) deliberately leaves it
 /// untouched and the owner of the aggregate overwrites it from the live
-/// registry afterwards (see
+/// per-worker gauges afterwards (see
 /// `Shared::totals` in `server.rs`). Any future gauge field must follow the
 /// same contract: excluded from the merge, set once by the aggregator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,16 +93,16 @@ pub struct ServerStatsSnapshot {
     /// Connections fully served.
     pub connections: u64,
     /// Connections currently open (a gauge, not a counter: the server fills
-    /// it in from its registry when the snapshot is taken; per-worker blocks
-    /// report 0).
+    /// it in from its per-worker gauges when the snapshot is taken;
+    /// per-worker counter blocks report 0).
     pub curr_connections: u64,
     /// Connections accepted since the server started.
     pub accepted: u64,
     /// Connections evicted by the idle timeout.
     pub timeouts: u64,
-    /// Readiness events dispatched to workers.
+    /// Readiness events delivered by the workers' pollers.
     pub wakeups: u64,
-    /// Reply flushes that blocked mid-buffer (wait-for-writability re-arms).
+    /// Reply flushes that blocked mid-buffer (waits for writability).
     pub partial_writes: u64,
     /// Well-formed request frames executed.
     pub frames: u64,

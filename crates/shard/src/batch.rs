@@ -51,7 +51,9 @@ fn group_by_shard<M: ConcurrentMap, T: Copy>(
     let shards = map.shard_count();
     let mut counts = vec![0usize; shards + 1];
     for item in items {
-        counts[map.shard_of(key_of(item)) + 1] += 1;
+        let key = key_of(item);
+        crate::check_key(key);
+        counts[map.shard_of(key) + 1] += 1;
     }
     for s in 0..shards {
         counts[s + 1] += counts[s];

@@ -700,6 +700,14 @@ enum Reclaim {
 /// buffer is cleared and refilled), `set` **overwrites** (unlike the raw
 /// structures' insert-if-absent — the displaced blob is retired), and
 /// range scans are available when the backing is ordered.
+///
+/// # Panics
+///
+/// Every per-key operation (`get`, `contains`, `set`, `set_ex`, `del`,
+/// `expire`, `persist`, `ttl_ms` and the `multi_*` batches) panics if a
+/// key lies outside [`KEY_MIN`](ascylib::KEY_MIN)`..=`[`KEY_MAX`](ascylib::KEY_MAX)
+/// — in release builds too, because the backing structures reserve `0` and
+/// `u64::MAX` for their sentinels.
 pub struct BlobMap<M> {
     map: ShardedMap<M>,
     arenas: Box<[ValueArena]>,
@@ -868,6 +876,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     /// the epoch guard, the index, or the arena; values carrying a TTL are
     /// never front-cached, so a front hit cannot outlive its deadline.
     pub fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        crate::check_key(key);
         out.clear();
         if let Some(hot) = &self.hot {
             hot.record_access(key);
@@ -931,6 +940,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     /// `true` if the key is present and alive (expired-but-unreclaimed
     /// values answer `false`; this read-only probe does not reclaim them).
     pub fn contains(&self, key: u64) -> bool {
+        crate::check_key(key);
         let arena = self.arena_of(key);
         let _guard = ssmem::protect();
         match self.map.search(key) {
@@ -959,6 +969,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     }
 
     fn set_with_ttl(&self, key: u64, value: &[u8], ttl_ms: Option<u64>) -> bool {
+        crate::check_key(key);
         let shard = self.map.shard_of(key);
         let arena = &self.arenas[shard];
         self.maybe_sweep(shard);
@@ -1017,6 +1028,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     /// retired either way — removing an expired corpse reports `false`).
     /// Same fronted-key handling as [`set`](Self::set).
     pub fn del(&self, key: u64) -> bool {
+        crate::check_key(key);
         if let Some(hot) = &self.hot {
             hot.record_access(key);
             if hot.fronted(key) {
@@ -1054,6 +1066,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     /// Racing a concurrent overwrite of the same key resolves in an
     /// arbitrary order (module docs).
     pub fn expire(&self, key: u64, ttl_ms: u64) -> bool {
+        crate::check_key(key);
         let arena = self.arena_of(key);
         let deadline = arena.now_ms().saturating_add(ttl_ms).max(1);
         enum After {
@@ -1137,6 +1150,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     /// Clears the expiry deadline of a live key; `true` if the key was
     /// present and alive (with or without a deadline to clear).
     pub fn persist(&self, key: u64) -> bool {
+        crate::check_key(key);
         let arena = self.arena_of(key);
         let dead = {
             let _guard = ssmem::protect();
@@ -1163,6 +1177,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     /// `Some(None)` = present with no deadline, `Some(Some(ms))` =
     /// milliseconds until expiry.
     pub fn ttl_ms(&self, key: u64) -> Option<Option<u64>> {
+        crate::check_key(key);
         let arena = self.arena_of(key);
         let dead = {
             let _guard = ssmem::protect();
@@ -1312,6 +1327,7 @@ impl<M: ConcurrentMap> BlobMap<M> {
     /// fronted keys are answered from their front-cache copies and only
     /// the remainder takes the batched backing path (one epoch guard).
     pub fn multi_get_into(&self, keys: &[u64], out: &mut Vec<Option<Vec<u8>>>) {
+        keys.iter().for_each(|&key| crate::check_key(key));
         let Some(hot) = self.hot.as_deref() else {
             self.multi_get_backing(keys, out);
             return;

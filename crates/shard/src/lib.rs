@@ -71,3 +71,15 @@ pub use cache::{CacheConfig, CacheStatsSnapshot, FakeClock, MsClock, WallClock};
 pub use hotkey::{HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot};
 pub use map::ShardedMap;
 pub use stats::ShardStatsSnapshot;
+
+use ascylib::{KEY_MAX, KEY_MIN};
+
+/// Enforces the key domain at the safe sharded entry points, in release
+/// builds too: the structures below reserve `0` and `u64::MAX` for their
+/// sentinels and only `debug_assert!` the range, so an out-of-range key
+/// must never reach them.
+#[inline]
+#[track_caller]
+pub(crate) fn check_key(key: u64) {
+    assert!((KEY_MIN..=KEY_MAX).contains(&key), "keys must be in [{KEY_MIN}, {KEY_MAX}], got {key}");
+}

@@ -6,6 +6,7 @@ use ascylib::api::ConcurrentMap;
 
 use crate::hotkey::{FrontReadU64, HotKeyConfig, HotKeyEngine, HotKeyStatsSnapshot, HotOp, HotOpKind, HotOpResult};
 use crate::router::ShardRouter;
+use crate::check_key;
 use crate::stats::{ShardStats, ShardStatsSnapshot};
 
 /// Hash-routed sharding over `N` independent [`ConcurrentMap`] instances.
@@ -23,6 +24,14 @@ use crate::stats::{ShardStats, ShardStatsSnapshot};
 /// `ShardedMap` itself implements [`ConcurrentMap`], so it drops into the
 /// harness, the registry-driven benchmarks, and anywhere else a single
 /// structure would go.
+///
+/// # Panics
+///
+/// Every per-key operation (`search`, `insert`, `remove`, `contains` and
+/// the `multi_*` batches) panics if a key lies outside
+/// [`KEY_MIN`](ascylib::KEY_MIN)`..=`[`KEY_MAX`](ascylib::KEY_MAX) — in
+/// release builds too, because the backing structures reserve `0` and
+/// `u64::MAX` for their sentinels.
 pub struct ShardedMap<M> {
     shards: Box<[M]>,
     stats: Box<[ShardStats]>,
@@ -166,6 +175,7 @@ impl ShardedMap<Arc<dyn ConcurrentMap>> {
 
 impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     fn search(&self, key: u64) -> Option<u64> {
+        check_key(key);
         if let Some(hot) = &self.hot {
             hot.record_access(key);
             match hot.read_u64(key) {
@@ -190,6 +200,7 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     }
 
     fn insert(&self, key: u64, value: u64) -> bool {
+        check_key(key);
         if let Some(hot) = &self.hot {
             hot.record_access(key);
             if hot.fronted(key) {
@@ -212,6 +223,7 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     }
 
     fn remove(&self, key: u64) -> Option<u64> {
+        check_key(key);
         if let Some(hot) = &self.hot {
             hot.record_access(key);
             if hot.fronted(key) {
@@ -246,6 +258,7 @@ impl<M: ConcurrentMap> ConcurrentMap for ShardedMap<M> {
     /// front-cache answers are honoured; a pending slot just falls through
     /// (the backing is always current — writes land there first).
     fn contains(&self, key: u64) -> bool {
+        check_key(key);
         if let Some(hot) = &self.hot {
             hot.record_access(key);
             match hot.read_u64(key) {

@@ -30,6 +30,9 @@ pub struct Backoff {
 const INITIAL_SPINS: u32 = 4;
 /// Maximum number of `spin_loop` hints issued by a single back-off round.
 const MAX_SPINS: u32 = 1 << 12;
+/// Rounds [`Backoff::snooze`] spins before it starts yielding (4 + 8 + … +
+/// 128 = 252 `spin_loop` hints in total).
+const SNOOZE_SPIN_ROUNDS: u32 = 6;
 
 impl Backoff {
     /// Creates a fresh back-off helper.
@@ -48,7 +51,23 @@ impl Backoff {
         self.rounds += 1;
     }
 
-    /// Number of times [`Backoff::spin`] has been called.
+    /// Waits for another thread to make progress: spins like
+    /// [`spin`](Self::spin) for the first few rounds, then yields the time
+    /// slice to the OS scheduler on every call. Use it where the thread
+    /// being waited for may need this core to run (more runnable threads
+    /// than cores), which pure spinning would deny it for a whole slice.
+    #[inline]
+    pub fn snooze(&mut self) {
+        if self.rounds < SNOOZE_SPIN_ROUNDS {
+            self.spin();
+        } else {
+            std::thread::yield_now();
+            self.rounds = self.rounds.saturating_add(1);
+        }
+    }
+
+    /// Number of times [`Backoff::spin`] or [`Backoff::snooze`] has been
+    /// called.
     #[inline]
     pub fn rounds(&self) -> u32 {
         self.rounds
@@ -88,6 +107,20 @@ mod tests {
         }
         assert!(b.is_saturated());
         assert_eq!(b.rounds(), 32);
+    }
+
+    #[test]
+    fn snooze_spins_a_few_rounds_then_yields_without_growing() {
+        let mut b = Backoff::new();
+        for _ in 0..SNOOZE_SPIN_ROUNDS {
+            b.snooze();
+        }
+        let spun = b.current;
+        for _ in 0..8 {
+            b.snooze();
+        }
+        assert_eq!(b.current, spun, "yielding rounds spin no further");
+        assert_eq!(b.rounds(), SNOOZE_SPIN_ROUNDS + 8);
     }
 
     #[test]

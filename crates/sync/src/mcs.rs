@@ -4,9 +4,16 @@
 //! queue node, so a hand-off causes exactly one cache-line transfer. Included
 //! for the lock ablation benchmarks (ticket vs TAS vs MCS in BST-TK-style
 //! update paths); the CSDS algorithms themselves embed the smaller locks.
+//!
+//! Both waits — a successor for the hand-off, and a releasing holder for a
+//! successor that is still linking itself in — spin briefly and then yield
+//! ([`Backoff::snooze`]), so an oversubscribed core runs the thread being
+//! waited for instead of burning its time slice.
 
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+
+use crate::Backoff;
 
 /// A node in the MCS queue. One is allocated per acquisition.
 #[derive(Debug)]
@@ -69,8 +76,9 @@ impl McsLock {
             // it has handed the lock to us (it must observe `next`).
             unsafe {
                 (*prev).next.store(node, Ordering::Release);
+                let mut backoff = Backoff::new();
                 while (*node).locked.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
+                    backoff.snooze();
                 }
             }
         }
@@ -110,8 +118,9 @@ impl Drop for McsGuard<'_> {
                 }
                 // A successor is in the middle of enqueueing; wait for it.
                 let mut next = (*node).next.load(Ordering::Acquire);
+                let mut backoff = Backoff::new();
                 while next.is_null() {
-                    std::hint::spin_loop();
+                    backoff.snooze();
                     next = (*node).next.load(Ordering::Acquire);
                 }
                 (*next).locked.store(false, Ordering::Release);
