@@ -52,8 +52,14 @@ impl Array {
 
     #[inline]
     fn index(&self, key: u64) -> usize {
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.mask) as usize
+        (hash(key) & self.mask) as usize
     }
+}
+
+/// The hash bits both the bucket and the stripe are taken from.
+#[inline]
+fn hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
 }
 
 /// The striped-lock, resizable hash table (`java` in Table 1).
@@ -72,6 +78,11 @@ pub struct JavaHashTable {
     current: AtomicPtr<Array>,
     locks: Box<[TicketLock]>,
     count: AtomicUsize,
+    /// Low hash bits that pick a key's stripe: `min(initial buckets,
+    /// STRIPES) - 1`. Arrays only double, so every array's bucket mask
+    /// contains these bits, and all keys of one bucket share a stripe (the
+    /// lock that guards the bucket's chain) in every array.
+    stripe_mask: u64,
     ascy3: bool,
     /// Retired bucket arrays, freed on drop (readers may still traverse
     /// them until their guard ends; keeping them for the structure lifetime
@@ -100,8 +111,10 @@ impl JavaHashTable {
 
     fn build(capacity: usize, ascy3: bool) -> Self {
         let locks: Vec<TicketLock> = (0..STRIPES).map(|_| TicketLock::new()).collect();
+        let array = Array::new(capacity);
         Self {
-            current: AtomicPtr::new(Box::into_raw(Array::new(capacity))),
+            stripe_mask: array.mask.min(STRIPES as u64 - 1),
+            current: AtomicPtr::new(Box::into_raw(array)),
             locks: locks.into_boxed_slice(),
             count: AtomicUsize::new(0),
             ascy3,
@@ -117,8 +130,7 @@ impl JavaHashTable {
 
     #[inline]
     fn stripe(&self, key: u64) -> &TicketLock {
-        let idx = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20) as usize & (STRIPES - 1);
-        &self.locks[idx]
+        &self.locks[(hash(key) & self.stripe_mask) as usize]
     }
 
     /// Searches a chain. Caller must hold an SSMEM guard.
@@ -328,6 +340,26 @@ mod tests {
         assert_eq!(t.remove(1), Some(10));
         assert_eq!(t.remove(1), None);
         assert_eq!(t.size(), 0);
+    }
+
+    #[test]
+    fn keys_sharing_a_bucket_share_a_stripe_across_resizes() {
+        // Two updaters holding different stripes must never edit one chain
+        // (lost unlinks resurrect retired nodes and double-free them).
+        for capacity in [4, 64, 4096] {
+            let t = JavaHashTable::with_capacity(capacity);
+            for k in 1..=4 * capacity as u64 {
+                assert!(t.insert(k, k));
+            }
+            let arr = t.array();
+            assert!(arr.slots.len() > capacity, "table must have resized");
+            let mut owner = vec![None; arr.slots.len()];
+            for k in 1..=20_000u64 {
+                let stripe = t.stripe(k) as *const TicketLock;
+                let seen = owner[arr.index(k)].get_or_insert(stripe);
+                assert_eq!(*seen, stripe, "bucket {} spans two stripes", arr.index(k));
+            }
+        }
     }
 
     #[test]

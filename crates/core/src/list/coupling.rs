@@ -192,14 +192,15 @@ impl ChainNode for Node {
         self.value.load(Ordering::Acquire)
     }
 
-    fn chain_live(&self) -> bool {
+    unsafe fn chain_live(_node: *mut Self) -> bool {
         // Removal unlinks immediately (no logical-delete flag), so every
         // reachable node is present.
         true
     }
 
-    fn chain_next(&self) -> *mut Self {
-        self.next.load(Ordering::Acquire)
+    unsafe fn chain_next(node: *mut Self) -> *mut Self {
+        // SAFETY: forwarded caller contract.
+        unsafe { (*node).next.load(Ordering::Acquire) }
     }
 }
 

@@ -285,12 +285,14 @@ impl ChainNode for Node {
         self.value.load(Ordering::Acquire)
     }
 
-    fn chain_live(&self) -> bool {
-        self.next.load(Ordering::Acquire).1 == tag::CLEAN
+    unsafe fn chain_live(node: *mut Self) -> bool {
+        // SAFETY: forwarded caller contract.
+        unsafe { (*node).next.load(Ordering::Acquire).1 == tag::CLEAN }
     }
 
-    fn chain_next(&self) -> *mut Self {
-        self.next.load(Ordering::Acquire).0
+    unsafe fn chain_next(node: *mut Self) -> *mut Self {
+        // SAFETY: forwarded caller contract.
+        unsafe { (*node).next.load(Ordering::Acquire).0 }
     }
 }
 

@@ -250,12 +250,14 @@ impl ChainNode for Node {
         self.value.load(Ordering::Acquire)
     }
 
-    fn chain_live(&self) -> bool {
-        !self.removed.load(Ordering::Acquire)
+    unsafe fn chain_live(node: *mut Self) -> bool {
+        // SAFETY: forwarded caller contract.
+        unsafe { !(*node).removed.load(Ordering::Acquire) }
     }
 
-    fn chain_next(&self) -> *mut Self {
-        self.next.load(Ordering::Acquire)
+    unsafe fn chain_next(node: *mut Self) -> *mut Self {
+        // SAFETY: forwarded caller contract.
+        unsafe { (*node).next.load(Ordering::Acquire) }
     }
 }
 

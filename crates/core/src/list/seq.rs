@@ -170,12 +170,13 @@ impl ChainNode for Node {
         self.value.load(Ordering::Relaxed)
     }
 
-    fn chain_live(&self) -> bool {
+    unsafe fn chain_live(_node: *mut Self) -> bool {
         true
     }
 
-    fn chain_next(&self) -> *mut Self {
-        self.next.load(Ordering::Relaxed)
+    unsafe fn chain_next(node: *mut Self) -> *mut Self {
+        // SAFETY: forwarded caller contract.
+        unsafe { (*node).next.load(Ordering::Relaxed) }
     }
 }
 

@@ -207,15 +207,27 @@ pub(crate) use impl_ordered_map;
 /// common shape of every linked list and of the level-0 lane of every skip
 /// list. Implementing this (plus [`RangeWalk`] in terms of [`walk_chain`])
 /// is all a chain-shaped structure needs to become an [`OrderedMap`].
+///
+/// `chain_live` and `chain_next` take the raw node pointer rather than
+/// `&self`: a skip-list node's level-0 slot lies past its fixed header, out
+/// of reach of a `&Node`'s provenance.
 pub(crate) trait ChainNode {
     /// This node's key (sentinels: `0` head, `u64::MAX` tail).
     fn chain_key(&self) -> u64;
     /// This node's value.
     fn chain_value(&self) -> u64;
     /// Whether the node is logically present (unmarked / fully linked).
-    fn chain_live(&self) -> bool;
+    ///
+    /// # Safety
+    ///
+    /// `node` must be safe to dereference (the [`walk_chain`] contract).
+    unsafe fn chain_live(node: *mut Self) -> bool;
     /// The next node in key order (never null before the tail sentinel).
-    fn chain_next(&self) -> *mut Self;
+    ///
+    /// # Safety
+    ///
+    /// As [`chain_live`](Self::chain_live).
+    unsafe fn chain_next(node: *mut Self) -> *mut Self;
 }
 
 /// Walks the chain starting *after* `start` (a node with key `< lo`, e.g.
@@ -236,18 +248,17 @@ pub(crate) unsafe fn walk_chain<N: ChainNode>(
     let mut traversed = 0u64;
     // SAFETY: per the function contract.
     unsafe {
-        let mut curr = (*start).chain_next();
+        let mut curr = N::chain_next(start);
         while !curr.is_null() {
-            let node = &*curr;
-            let key = node.chain_key();
+            let key = (*curr).chain_key();
             if key == u64::MAX {
                 break;
             }
             traversed += 1;
-            if key >= lo && node.chain_live() && !visit(key, node.chain_value()) {
+            if key >= lo && N::chain_live(curr) && !visit(key, (*curr).chain_value()) {
                 break;
             }
-            curr = node.chain_next();
+            curr = N::chain_next(curr);
         }
     }
     stats::record_traversal(traversed);

@@ -25,28 +25,35 @@ use ascylib_ssmem as ssmem;
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::marked::{tag, MarkedPtr};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
-use crate::skiplist::{random_level, MAX_LEVEL};
+use crate::skiplist::{
+    alloc_tower, free_tower, random_level, retire_tower, slot, TowerNode, MAX_LEVEL,
+};
 use crate::stats;
 
+/// Node header; `toplevel` marked forward pointers follow it in the same
+/// allocation (24 + 8·`toplevel` bytes).
 #[repr(C)]
 struct Node {
     key: u64,
     value: AtomicU64,
     toplevel: usize,
-    next: [MarkedPtr<Node>; MAX_LEVEL],
 }
 
-fn empty_tower() -> [MarkedPtr<Node>; MAX_LEVEL] {
-    std::array::from_fn(|_| MarkedPtr::null())
+// SAFETY: `toplevel` is the height `new_node` allocated the tower with.
+unsafe impl TowerNode for Node {
+    type Slot = MarkedPtr<Node>;
+
+    fn empty_slot() -> Self::Slot {
+        MarkedPtr::null()
+    }
+
+    fn toplevel(&self) -> usize {
+        self.toplevel
+    }
 }
 
 fn new_node(key: u64, value: u64, toplevel: usize) -> *mut Node {
-    ssmem::alloc(Node {
-        key,
-        value: AtomicU64::new(value),
-        toplevel,
-        next: empty_tower(),
-    })
+    alloc_tower(Node { key, value: AtomicU64::new(value), toplevel }, toplevel)
 }
 
 /// Shared implementation; `OPT` selects the ASCY-compliant search/parse.
@@ -71,7 +78,7 @@ impl<const OPT: bool> Fraser<OPT> {
         // `Self` to another thread synchronizes.
         unsafe {
             for level in 0..MAX_LEVEL {
-                (*head).next[level].store(tail, tag::CLEAN, Ordering::Relaxed);
+                slot(head, level).store(tail, tag::CLEAN, Ordering::Relaxed);
             }
         }
         Self { head, tail }
@@ -95,13 +102,12 @@ impl<const OPT: bool> Fraser<OPT> {
                 let mut traversed = 0u64;
                 let mut pred = self.head;
                 for level in (0..MAX_LEVEL).rev() {
-                    let mut curr = (*pred).next[level].load(Ordering::Acquire).0;
+                    let mut curr = slot(pred, level).load(Ordering::Acquire).0;
                     loop {
-                        let (mut succ, mut marked) = (*curr).next[level].load(Ordering::Acquire);
+                        let (mut succ, mut marked) = slot(curr, level).load(Ordering::Acquire);
                         while marked != tag::CLEAN {
                             // curr is logically deleted: unlink it here.
-                            let ok = (*pred)
-                                .next[level]
+                            let ok = slot(pred, level)
                                 .compare_exchange(
                                     curr,
                                     tag::CLEAN,
@@ -116,8 +122,8 @@ impl<const OPT: bool> Fraser<OPT> {
                                 stats::record_restart();
                                 continue 'retry;
                             }
-                            curr = (*pred).next[level].load(Ordering::Acquire).0;
-                            let (s, m) = (*curr).next[level].load(Ordering::Acquire);
+                            curr = slot(pred, level).load(Ordering::Acquire).0;
+                            let (s, m) = slot(curr, level).load(Ordering::Acquire);
                             succ = s;
                             marked = m;
                         }
@@ -149,14 +155,14 @@ impl<const OPT: bool> Fraser<OPT> {
             let mut pred = self.head;
             let mut result = None;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire).0;
+                let mut curr = slot(pred, level).load(Ordering::Acquire).0;
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire).0;
+                    curr = slot(curr, level).load(Ordering::Acquire).0;
                     traversed += 1;
                 }
                 if (*curr).key == key {
-                    result = if (*curr).next[0].load(Ordering::Acquire).1 == tag::CLEAN {
+                    result = if slot(curr, 0).load(Ordering::Acquire).1 == tag::CLEAN {
                         Some((*curr).value.load(Ordering::Acquire))
                     } else {
                         None
@@ -212,11 +218,10 @@ impl<const OPT: bool> Fraser<OPT> {
                 // Relaxed: the node is private until the level-0 CAS below
                 // (AcqRel) publishes it.
                 for level in 0..toplevel {
-                    (*node).next[level].store(succs[level], tag::CLEAN, Ordering::Relaxed);
+                    slot(node, level).store(succs[level], tag::CLEAN, Ordering::Relaxed);
                 }
                 // Publish at level 0.
-                let ok = (*preds[0])
-                    .next[0]
+                let ok = slot(preds[0], 0)
                     .compare_exchange(
                         succs[0],
                         tag::CLEAN,
@@ -228,7 +233,7 @@ impl<const OPT: bool> Fraser<OPT> {
                     .is_ok();
                 stats::record_atomic(ok);
                 if !ok {
-                    ssmem::dealloc_immediate(node);
+                    free_tower(node);
                     stats::record_restart();
                     continue;
                 }
@@ -236,21 +241,20 @@ impl<const OPT: bool> Fraser<OPT> {
                 for level in 1..toplevel {
                     loop {
                         // Stop if our node got logically deleted meanwhile.
-                        if (*node).next[0].load(Ordering::Acquire).1 != tag::CLEAN {
+                        if slot(node, 0).load(Ordering::Acquire).1 != tag::CLEAN {
                             stats::record_operation();
                             return true;
                         }
-                        let succ = (*node).next[level].load(Ordering::Acquire).0;
+                        let succ = slot(node, level).load(Ordering::Acquire).0;
                         // Do not link to a marked successor (it is about to be
                         // unlinked and retired).
                         if succ != self.tail
-                            && (*succ).next[level].load(Ordering::Acquire).1 != tag::CLEAN
+                            && slot(succ, level).load(Ordering::Acquire).1 != tag::CLEAN
                         {
                             self.refresh_level(key, level, node, &mut preds, &mut succs);
                             continue;
                         }
-                        let ok = (*preds[level])
-                            .next[level]
+                        let ok = slot(preds[level], level)
                             .compare_exchange(
                                 succ,
                                 tag::CLEAN,
@@ -295,15 +299,14 @@ impl<const OPT: bool> Fraser<OPT> {
         let mut succ = succs[level];
         if succ == node {
             // SAFETY: node is our own live node.
-            succ = unsafe { (*node).next[level].load(Ordering::Acquire).0 };
+            succ = unsafe { slot(node, level).load(Ordering::Acquire).0 };
         }
         // SAFETY: node is our own; only removers mark its pointers, in which
         // case we stop at the next loop iteration.
         unsafe {
-            let (old, m) = (*node).next[level].load(Ordering::Acquire);
+            let (old, m) = slot(node, level).load(Ordering::Acquire);
             if m == tag::CLEAN && old != succ {
-                let ok = (*node)
-                    .next[level]
+                let ok = slot(node, level)
                     .compare_exchange(old, tag::CLEAN, succ, tag::CLEAN, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok();
                 stats::record_atomic(ok);
@@ -335,12 +338,11 @@ impl<const OPT: bool> Fraser<OPT> {
             // Mark the upper levels (top-down).
             for level in (1..toplevel).rev() {
                 loop {
-                    let (succ, m) = (*victim).next[level].load(Ordering::Acquire);
+                    let (succ, m) = slot(victim, level).load(Ordering::Acquire);
                     if m != tag::CLEAN {
                         break;
                     }
-                    let ok = (*victim)
-                        .next[level]
+                    let ok = slot(victim, level)
                         .compare_exchange(succ, tag::CLEAN, succ, tag::MARK, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok();
                     stats::record_atomic(ok);
@@ -351,14 +353,13 @@ impl<const OPT: bool> Fraser<OPT> {
             }
             // Mark level 0: whoever succeeds owns the removal.
             loop {
-                let (succ, m) = (*victim).next[0].load(Ordering::Acquire);
+                let (succ, m) = slot(victim, 0).load(Ordering::Acquire);
                 if m != tag::CLEAN {
                     // Someone else removed it first.
                     stats::record_operation();
                     return None;
                 }
-                let ok = (*victim)
-                    .next[0]
+                let ok = slot(victim, 0)
                     .compare_exchange(succ, tag::CLEAN, succ, tag::MARK, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok();
                 stats::record_atomic(ok);
@@ -370,7 +371,7 @@ impl<const OPT: bool> Fraser<OPT> {
             let value = (*victim).value.load(Ordering::Acquire);
             // Physically unlink it everywhere, then retire it.
             let _ = self.find(key, &mut preds, &mut succs);
-            ssmem::retire(victim);
+            retire_tower(victim);
             stats::record_operation();
             Some(value)
         }
@@ -381,9 +382,9 @@ impl<const OPT: bool> Fraser<OPT> {
         let mut count = 0;
         // SAFETY: guard protects the traversal.
         unsafe {
-            let mut curr = (*self.head).next[0].load(Ordering::Acquire).0;
+            let mut curr = slot(self.head, 0).load(Ordering::Acquire).0;
             while curr != self.tail {
-                let (next, m) = (*curr).next[0].load(Ordering::Acquire);
+                let (next, m) = slot(curr, 0).load(Ordering::Acquire);
                 if m == tag::CLEAN {
                     count += 1;
                 }
@@ -403,13 +404,15 @@ impl ChainNode for Node {
         self.value.load(Ordering::Acquire)
     }
 
-    fn chain_live(&self) -> bool {
+    unsafe fn chain_live(node: *mut Self) -> bool {
         // A marked level-0 pointer is the logical deletion point.
-        self.next[0].load(Ordering::Acquire).1 == tag::CLEAN
+        // SAFETY: forwarded caller contract.
+        unsafe { slot(node, 0).load(Ordering::Acquire).1 == tag::CLEAN }
     }
 
-    fn chain_next(&self) -> *mut Self {
-        self.next[0].load(Ordering::Acquire).0
+    unsafe fn chain_next(node: *mut Self) -> *mut Self {
+        // SAFETY: forwarded caller contract.
+        unsafe { slot(node, 0).load(Ordering::Acquire).0 }
     }
 }
 
@@ -424,10 +427,10 @@ impl<const OPT: bool> RangeWalk for Fraser<OPT> {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire).0;
+                let mut curr = slot(pred, level).load(Ordering::Acquire).0;
                 while (*curr).key < lo {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire).0;
+                    curr = slot(curr, level).load(Ordering::Acquire).0;
                 }
             }
             walk_chain(pred, lo, visit);
@@ -448,9 +451,9 @@ impl<const OPT: bool> Drop for Fraser<OPT> {
                 let next = if curr == self.tail {
                     std::ptr::null_mut()
                 } else {
-                    (*curr).next[0].load(Ordering::Relaxed).0
+                    slot(curr, 0).load(Ordering::Relaxed).0
                 };
-                ssmem::dealloc_immediate(curr);
+                free_tower(curr);
                 curr = next;
             }
         }
@@ -566,6 +569,18 @@ impl std::fmt::Debug for FraserOptSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skiplist::tower_layout;
+
+    #[test]
+    fn fraser_nodes_are_a_header_plus_one_slot_per_level() {
+        // `FraserSkipList` and `FraserOptSkipList` share this node: a
+        // 24-byte header and one 8-byte marked pointer per level.
+        assert_eq!(tower_layout::<Node>(1).size(), 32);
+        assert_eq!(tower_layout::<Node>(MAX_LEVEL).size(), 24 + 8 * MAX_LEVEL);
+        for h in 1..=MAX_LEVEL {
+            assert_eq!(tower_layout::<Node>(h).size(), 24 + 8 * h, "height {h}");
+        }
+    }
 
     #[test]
     fn fraser_basic_semantics() {

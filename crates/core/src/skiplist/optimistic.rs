@@ -20,9 +20,13 @@ use ascylib_sync::TtasLock;
 
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
-use crate::skiplist::{random_level, MAX_LEVEL};
+use crate::skiplist::{
+    alloc_tower, free_tower, random_level, retire_tower, slot, TowerNode, MAX_LEVEL,
+};
 use crate::stats;
 
+/// Node header; `toplevel` forward pointers follow it in the same
+/// allocation (32 + 8·`toplevel` bytes: the header pads to 32).
 #[repr(C)]
 struct Node {
     key: u64,
@@ -31,23 +35,33 @@ struct Node {
     marked: AtomicBool,
     fully_linked: AtomicBool,
     lock: TtasLock,
-    next: [AtomicPtr<Node>; MAX_LEVEL],
 }
 
-fn empty_tower() -> [AtomicPtr<Node>; MAX_LEVEL] {
-    std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut()))
+// SAFETY: `toplevel` is the height `new_node` allocated the tower with.
+unsafe impl TowerNode for Node {
+    type Slot = AtomicPtr<Node>;
+
+    fn empty_slot() -> Self::Slot {
+        AtomicPtr::new(std::ptr::null_mut())
+    }
+
+    fn toplevel(&self) -> usize {
+        self.toplevel
+    }
 }
 
 fn new_node(key: u64, value: u64, toplevel: usize) -> *mut Node {
-    ssmem::alloc(Node {
-        key,
-        value: AtomicU64::new(value),
+    alloc_tower(
+        Node {
+            key,
+            value: AtomicU64::new(value),
+            toplevel,
+            marked: AtomicBool::new(false),
+            fully_linked: AtomicBool::new(false),
+            lock: TtasLock::new(),
+        },
         toplevel,
-        marked: AtomicBool::new(false),
-        fully_linked: AtomicBool::new(false),
-        lock: TtasLock::new(),
-        next: empty_tower(),
-    })
+    )
 }
 
 /// Shared skeleton of the two lock-based skip lists.
@@ -71,7 +85,7 @@ impl SkipListBase {
         // `Self` to another thread synchronizes.
         unsafe {
             for level in 0..MAX_LEVEL {
-                (*head).next[level].store(tail, Ordering::Relaxed);
+                slot(head, level).store(tail, Ordering::Relaxed);
             }
             (*head).fully_linked.store(true, Ordering::Relaxed);
             (*tail).fully_linked.store(true, Ordering::Relaxed);
@@ -95,10 +109,10 @@ impl SkipListBase {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire);
+                let mut curr = slot(pred, level).load(Ordering::Acquire);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = slot(curr, level).load(Ordering::Acquire);
                     traversed += 1;
                 }
                 if found.is_none() && (*curr).key == key {
@@ -121,10 +135,10 @@ impl SkipListBase {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire);
+                let mut curr = slot(pred, level).load(Ordering::Acquire);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = slot(curr, level).load(Ordering::Acquire);
                     traversed += 1;
                 }
                 if (*curr).key == key {
@@ -148,14 +162,14 @@ impl SkipListBase {
         let mut count = 0;
         // SAFETY: guard protects the traversal.
         unsafe {
-            let mut curr = (*self.head).next[0].load(Ordering::Acquire);
+            let mut curr = slot(self.head, 0).load(Ordering::Acquire);
             while curr != self.tail {
                 if !(*curr).marked.load(Ordering::Acquire)
                     && (*curr).fully_linked.load(Ordering::Acquire)
                 {
                     count += 1;
                 }
-                curr = (*curr).next[0].load(Ordering::Acquire);
+                curr = slot(curr, 0).load(Ordering::Acquire);
             }
         }
         count
@@ -171,12 +185,14 @@ impl ChainNode for Node {
         self.value.load(Ordering::Acquire)
     }
 
-    fn chain_live(&self) -> bool {
-        self.fully_linked.load(Ordering::Acquire) && !self.marked.load(Ordering::Acquire)
+    unsafe fn chain_live(node: *mut Self) -> bool {
+        // SAFETY: forwarded caller contract.
+        unsafe { (*node).fully_linked.load(Ordering::Acquire) && !(*node).marked.load(Ordering::Acquire) }
     }
 
-    fn chain_next(&self) -> *mut Self {
-        self.next[0].load(Ordering::Acquire)
+    unsafe fn chain_next(node: *mut Self) -> *mut Self {
+        // SAFETY: forwarded caller contract.
+        unsafe { slot(node, 0).load(Ordering::Acquire) }
     }
 }
 
@@ -191,10 +207,10 @@ impl RangeWalk for SkipListBase {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Acquire);
+                let mut curr = slot(pred, level).load(Ordering::Acquire);
                 while (*curr).key < lo {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = slot(curr, level).load(Ordering::Acquire);
                 }
             }
             walk_chain(pred, lo, visit);
@@ -215,9 +231,9 @@ impl Drop for SkipListBase {
                 let next = if curr == self.tail {
                     std::ptr::null_mut()
                 } else {
-                    (*curr).next[0].load(Ordering::Relaxed)
+                    slot(curr, 0).load(Ordering::Relaxed)
                 };
-                ssmem::dealloc_immediate(curr);
+                free_tower(curr);
                 curr = next;
             }
         }
@@ -296,7 +312,7 @@ impl HerlihySkipList {
                 }
                 let valid = !(*pred).marked.load(Ordering::Acquire)
                     && !(*succ).marked.load(Ordering::Acquire)
-                    && (*pred).next[level].load(Ordering::Acquire) == succ;
+                    && slot(pred, level).load(Ordering::Acquire) == succ;
                 if !valid {
                     return Err(highest);
                 }
@@ -351,10 +367,10 @@ impl ConcurrentMap for HerlihySkipList {
                         // Relaxed: the node is private until the Release
                         // stores below link it level by level.
                         for level in 0..toplevel {
-                            (*node).next[level].store(succs[level], Ordering::Relaxed);
+                            slot(node, level).store(succs[level], Ordering::Relaxed);
                         }
                         for level in 0..toplevel {
-                            (*preds[level]).next[level].store(node, Ordering::Release);
+                            slot(preds[level], level).store(node, Ordering::Release);
                             stats::record_store();
                         }
                         (*node).fully_linked.store(true, Ordering::Release);
@@ -429,7 +445,7 @@ impl ConcurrentMap for HerlihySkipList {
                         prev = pred;
                     }
                     if (*pred).marked.load(Ordering::Acquire)
-                        || (*pred).next[level].load(Ordering::Acquire) != victim
+                        || slot(pred, level).load(Ordering::Acquire) != victim
                     {
                         valid = false;
                         break;
@@ -444,14 +460,13 @@ impl ConcurrentMap for HerlihySkipList {
                 }
                 let value = (*victim).value.load(Ordering::Acquire);
                 for level in (0..toplevel).rev() {
-                    (*preds[level])
-                        .next[level]
-                        .store((*victim).next[level].load(Ordering::Acquire), Ordering::Release);
+                    slot(preds[level], level)
+                        .store(slot(victim, level).load(Ordering::Acquire), Ordering::Release);
                     stats::record_store();
                 }
                 (*victim).lock.unlock();
                 Self::unlock_preds(&preds, toplevel - 1);
-                ssmem::retire(victim);
+                retire_tower(victim);
                 stats::record_operation();
                 return Some(value);
             }
@@ -517,14 +532,14 @@ impl PughSkipList {
             let mut pred = start;
             loop {
                 // Advance optimistically (no locks, ASCY2).
-                let mut curr = (*pred).next[level].load(Ordering::Acquire);
+                let mut curr = slot(pred, level).load(Ordering::Acquire);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = slot(curr, level).load(Ordering::Acquire);
                 }
                 (*pred).lock.lock();
                 stats::record_lock();
-                let succ = (*pred).next[level].load(Ordering::Acquire);
+                let succ = slot(pred, level).load(Ordering::Acquire);
                 if !(*pred).marked.load(Ordering::Acquire)
                     && (*succ).key >= key
                 {
@@ -573,7 +588,7 @@ impl ConcurrentMap for PughSkipList {
                 if level == 0 && (*succ).key == key && !(*succ).marked.load(Ordering::Acquire) {
                     // A concurrent insert won the race at the bottom level.
                     (*pred).lock.unlock();
-                    ssmem::dealloc_immediate(node);
+                    free_tower(node);
                     stats::record_operation();
                     return false;
                 }
@@ -586,8 +601,8 @@ impl ConcurrentMap for PughSkipList {
                 // Relaxed: readers reach `node` at this level only through
                 // the Release store of `pred.next[level]` just below, which
                 // orders this store before the publication.
-                (*node).next[level].store(succ, Ordering::Relaxed);
-                (*pred).next[level].store(node, Ordering::Release);
+                slot(node, level).store(succ, Ordering::Relaxed);
+                slot(pred, level).store(node, Ordering::Release);
                 stats::record_store();
                 (*pred).lock.unlock();
             }
@@ -651,7 +666,7 @@ impl ConcurrentMap for PughSkipList {
                     };
                     // Advance to the direct predecessor of the victim.
                     loop {
-                        let curr = (*pred).next[level].load(Ordering::Acquire);
+                        let curr = slot(pred, level).load(Ordering::Acquire);
                         if curr == victim {
                             break;
                         }
@@ -667,11 +682,10 @@ impl ConcurrentMap for PughSkipList {
                     (*pred).lock.lock();
                     stats::record_lock();
                     if !(*pred).marked.load(Ordering::Acquire)
-                        && (*pred).next[level].load(Ordering::Acquire) == victim
+                        && slot(pred, level).load(Ordering::Acquire) == victim
                     {
-                        (*pred)
-                            .next[level]
-                            .store((*victim).next[level].load(Ordering::Acquire), Ordering::Release);
+                        slot(pred, level)
+                            .store(slot(victim, level).load(Ordering::Acquire), Ordering::Release);
                         stats::record_store();
                         (*pred).lock.unlock();
                         break 'level;
@@ -680,7 +694,7 @@ impl ConcurrentMap for PughSkipList {
                     stats::record_restart();
                 }
             }
-            ssmem::retire(victim);
+            retire_tower(victim);
             stats::record_operation();
             Some(value)
         }
@@ -706,6 +720,19 @@ impl std::fmt::Debug for PughSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skiplist::tower_layout;
+
+    #[test]
+    fn herlihy_and_pugh_nodes_are_a_header_plus_one_slot_per_level() {
+        // `HerlihySkipList` and `PughSkipList` share this node: a header of
+        // three words, two flags and a lock (padded to 32 bytes) and one
+        // 8-byte pointer per level.
+        assert_eq!(tower_layout::<Node>(1).size(), 40);
+        assert_eq!(tower_layout::<Node>(MAX_LEVEL).size(), 32 + 8 * MAX_LEVEL);
+        for h in 1..=MAX_LEVEL {
+            assert_eq!(tower_layout::<Node>(h).size(), 32 + 8 * h, "height {h}");
+        }
+    }
 
     #[test]
     fn herlihy_basic_semantics() {

@@ -10,32 +10,35 @@
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-use ascylib_ssmem as ssmem;
-
 use crate::api::{debug_check_key, ConcurrentMap};
 use crate::ordered::{impl_ordered_map, walk_chain, ChainNode, RangeWalk};
-use crate::skiplist::{random_level, MAX_LEVEL};
+use crate::skiplist::{alloc_tower, free_tower, random_level, slot, TowerNode, MAX_LEVEL};
 use crate::stats;
 
+/// Node header; `toplevel` forward pointers follow it in the same
+/// allocation (24 + 8·`toplevel` bytes).
 #[repr(C)]
 struct Node {
     key: u64,
     value: AtomicU64,
     toplevel: usize,
-    next: [AtomicPtr<Node>; MAX_LEVEL],
 }
 
-fn empty_tower() -> [AtomicPtr<Node>; MAX_LEVEL] {
-    std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut()))
+// SAFETY: `toplevel` is the height `new_node` allocated the tower with.
+unsafe impl TowerNode for Node {
+    type Slot = AtomicPtr<Node>;
+
+    fn empty_slot() -> Self::Slot {
+        AtomicPtr::new(std::ptr::null_mut())
+    }
+
+    fn toplevel(&self) -> usize {
+        self.toplevel
+    }
 }
 
 fn new_node(key: u64, value: u64, toplevel: usize) -> *mut Node {
-    ssmem::alloc(Node {
-        key,
-        value: AtomicU64::new(value),
-        toplevel,
-        next: empty_tower(),
-    })
+    alloc_tower(Node { key, value: AtomicU64::new(value), toplevel }, toplevel)
 }
 
 /// The asynchronized (sequential) skip list.
@@ -69,7 +72,7 @@ impl AsyncSkipList {
         // SAFETY: freshly allocated sentinels.
         unsafe {
             for level in 0..MAX_LEVEL {
-                (*head).next[level].store(tail, Ordering::Relaxed);
+                slot(head, level).store(tail, Ordering::Relaxed);
             }
         }
         Self { head, tail }
@@ -82,10 +85,10 @@ impl AsyncSkipList {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Relaxed);
+                let mut curr = slot(pred, level).load(Ordering::Relaxed);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Relaxed);
+                    curr = slot(curr, level).load(Ordering::Relaxed);
                     traversed += 1;
                 }
                 preds[level] = pred;
@@ -105,10 +108,10 @@ impl ConcurrentMap for AsyncSkipList {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Relaxed);
+                let mut curr = slot(pred, level).load(Ordering::Relaxed);
                 while (*curr).key < key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Relaxed);
+                    curr = slot(curr, level).load(Ordering::Relaxed);
                     traversed += 1;
                 }
                 if (*curr).key == key {
@@ -136,8 +139,8 @@ impl ConcurrentMap for AsyncSkipList {
             let toplevel = random_level();
             let node = new_node(key, value, toplevel);
             for level in 0..toplevel {
-                (*node).next[level].store(succs[level], Ordering::Relaxed);
-                (*preds[level]).next[level].store(node, Ordering::Relaxed);
+                slot(node, level).store(succs[level], Ordering::Relaxed);
+                slot(preds[level], level).store(node, Ordering::Relaxed);
                 stats::record_store();
             }
             true
@@ -159,10 +162,9 @@ impl ConcurrentMap for AsyncSkipList {
             }
             let value = (*victim).value.load(Ordering::Relaxed);
             for level in 0..(*victim).toplevel {
-                if (*preds[level]).next[level].load(Ordering::Relaxed) == victim {
-                    (*preds[level])
-                        .next[level]
-                        .store((*victim).next[level].load(Ordering::Relaxed), Ordering::Relaxed);
+                if slot(preds[level], level).load(Ordering::Relaxed) == victim {
+                    slot(preds[level], level)
+                        .store(slot(victim, level).load(Ordering::Relaxed), Ordering::Relaxed);
                     stats::record_store();
                 }
             }
@@ -175,10 +177,10 @@ impl ConcurrentMap for AsyncSkipList {
         // SAFETY: level-0 chain traversal; nodes alive for the structure's
         // lifetime.
         unsafe {
-            let mut curr = (*self.head).next[0].load(Ordering::Relaxed);
+            let mut curr = slot(self.head, 0).load(Ordering::Relaxed);
             while curr != self.tail {
                 count += 1;
-                curr = (*curr).next[0].load(Ordering::Relaxed);
+                curr = slot(curr, 0).load(Ordering::Relaxed);
             }
         }
         count
@@ -196,12 +198,13 @@ impl ChainNode for Node {
         self.value.load(Ordering::Relaxed)
     }
 
-    fn chain_live(&self) -> bool {
+    unsafe fn chain_live(_node: *mut Self) -> bool {
         true
     }
 
-    fn chain_next(&self) -> *mut Self {
-        self.next[0].load(Ordering::Relaxed)
+    unsafe fn chain_next(node: *mut Self) -> *mut Self {
+        // SAFETY: forwarded caller contract.
+        unsafe { slot(node, 0).load(Ordering::Relaxed) }
     }
 }
 
@@ -212,10 +215,10 @@ impl RangeWalk for AsyncSkipList {
         unsafe {
             let mut pred = self.head;
             for level in (0..MAX_LEVEL).rev() {
-                let mut curr = (*pred).next[level].load(Ordering::Relaxed);
+                let mut curr = slot(pred, level).load(Ordering::Relaxed);
                 while (*curr).key < lo {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Relaxed);
+                    curr = slot(curr, level).load(Ordering::Relaxed);
                 }
             }
             walk_chain(pred, lo, visit);
@@ -241,9 +244,9 @@ impl Drop for AsyncSkipList {
                 let next = if curr == self.tail {
                     std::ptr::null_mut()
                 } else {
-                    (*curr).next[0].load(Ordering::Relaxed)
+                    slot(curr, 0).load(Ordering::Relaxed)
                 };
-                ssmem::dealloc_immediate(curr);
+                free_tower(curr);
                 curr = next;
             }
         }
@@ -259,6 +262,16 @@ impl std::fmt::Debug for AsyncSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skiplist::tower_layout;
+
+    #[test]
+    fn async_nodes_are_a_header_plus_one_slot_per_level() {
+        assert_eq!(tower_layout::<Node>(1).size(), 32);
+        assert_eq!(tower_layout::<Node>(MAX_LEVEL).size(), 24 + 8 * MAX_LEVEL);
+        for h in 1..=MAX_LEVEL {
+            assert_eq!(tower_layout::<Node>(h).size(), 24 + 8 * h, "height {h}");
+        }
+    }
 
     #[test]
     fn basic_semantics() {

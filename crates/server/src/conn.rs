@@ -47,7 +47,7 @@ use ascylib_telemetry::{
 
 use crate::monitor::{MonitorEvent, MonitorHub, MonitorSink, MONITOR_DRAIN_BACKLOG};
 use crate::protocol::{wire, Request, RequestParser, SlowlogCmd, MAX_VALUE};
-use crate::stats::{ConcurrencySnapshot, ServerStatsSnapshot, WorkerStats};
+use crate::stats::{ConcurrencySnapshot, ProcessMemory, ServerStatsSnapshot, WorkerStats};
 use crate::store::{KvStore, KEY_RANGE};
 
 /// Cross-worker telemetry aggregation, implemented by the server's shared
@@ -905,6 +905,9 @@ fn render_info(ctx: &ConnCtx<'_>, section: Option<&str>) -> Result<String, &'sta
         let _ = writeln!(s, "ssmem_gc_passes:{}", m.gc_passes);
         let _ = writeln!(s, "ssmem_pending:{}", m.pending);
         let _ = writeln!(s, "ssmem_pooled:{}", m.pooled);
+        let rss = ProcessMemory::read();
+        let _ = writeln!(s, "rss_bytes:{}", rss.rss_bytes);
+        let _ = writeln!(s, "peak_rss_bytes:{}", rss.peak_rss_bytes);
         sections.push(s);
     }
     if want("concurrency") {
@@ -1162,6 +1165,9 @@ fn render_metrics(ctx: &ConnCtx<'_>) -> String {
     e.counter("ascy_ssmem_gc_passes_total", "Epoch-advance collection passes.", &[], conc.ssmem.gc_passes);
     e.gauge("ascy_ssmem_pending", "Objects waiting in limbo lists across workers.", &[], conc.ssmem.pending);
     e.gauge("ascy_ssmem_pooled", "Reclaimed objects pooled for reuse across workers.", &[], conc.ssmem.pooled);
+    let rss = ProcessMemory::read();
+    e.gauge("ascy_process_resident_bytes", "Resident set size of the process (VmRSS) in bytes.", &[], rss.rss_bytes);
+    e.gauge("ascy_process_peak_resident_bytes", "Peak resident set size of the process (VmHWM) in bytes.", &[], rss.peak_rss_bytes);
     let mon = ctx.monitor.stats();
     e.gauge("ascy_monitor_subscribers", "Connections subscribed to the MONITOR stream.", &[], mon.subscribers);
     e.counter("ascy_monitor_events_total", "Trace events published to the MONITOR stream.", &[], mon.events);
@@ -1767,6 +1773,30 @@ mod tests {
                 "ascy_window_request_p99_ns ",
             ] {
                 assert!(metrics.contains(family), "METRICS is missing {family}:\n{metrics}");
+            }
+        });
+    }
+
+    #[test]
+    fn info_memory_and_metrics_report_the_process_resident_set() {
+        run_ctx(|ctx| {
+            let mem = render_info(ctx, Some("memory")).unwrap();
+            let field = |name: &str| -> u64 {
+                let line = mem.lines().find_map(|l| l.strip_prefix(name));
+                line.unwrap_or_else(|| panic!("INFO memory is missing {name}\n{mem}")).parse().unwrap()
+            };
+            let (rss, peak) = (field("rss_bytes:"), field("peak_rss_bytes:"));
+            let metrics = render_metrics(ctx);
+            ascylib_telemetry::expo::validate(&metrics).expect("METRICS body validates");
+            let gauge = |name: &str| -> u64 {
+                let line = metrics.lines().find_map(|l| l.strip_prefix(name));
+                line.unwrap_or_else(|| panic!("METRICS is missing {name}")).trim().parse().unwrap()
+            };
+            let (g_rss, g_peak) =
+                (gauge("ascy_process_resident_bytes "), gauge("ascy_process_peak_resident_bytes "));
+            if cfg!(target_os = "linux") {
+                assert!(rss > 0 && g_rss > 0, "rss {rss} / {g_rss}");
+                assert!(peak >= rss && g_peak > 0, "peak {peak} / {g_peak}");
             }
         });
     }

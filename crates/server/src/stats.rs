@@ -265,6 +265,42 @@ impl ConcurrencySnapshot {
     }
 }
 
+/// Resident-set figures of the whole process, read from
+/// `/proc/self/status` at scrape time (`VmRSS`/`VmHWM`). Both read 0 where
+/// that file does not exist (off Linux). `peak_rss_bytes` is the figure
+/// the repo benchmark reports as `peak_rss_mib`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProcessMemory {
+    /// Resident set size now (`VmRSS`), in bytes.
+    pub rss_bytes: u64,
+    /// Peak resident set size since start (`VmHWM`), in bytes.
+    pub peak_rss_bytes: u64,
+}
+
+impl ProcessMemory {
+    /// Reads the current figures (one small procfs read).
+    pub fn read() -> Self {
+        match std::fs::read_to_string("/proc/self/status") {
+            Ok(status) => Self::parse(&status),
+            Err(_) => Self::default(),
+        }
+    }
+
+    /// Parses a `/proc/<pid>/status` body; absent or malformed fields
+    /// read 0.
+    fn parse(status: &str) -> Self {
+        let bytes = |field: &str| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix(field))
+                .and_then(|v| v.trim().strip_suffix("kB"))
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .map_or(0, |kib| kib.saturating_mul(1024))
+        };
+        Self { rss_bytes: bytes("VmRSS:"), peak_rss_bytes: bytes("VmHWM:") }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,5 +372,14 @@ mod tests {
         let mut a = ServerStatsSnapshot { curr_connections: 3, ..Default::default() };
         a.merge_counters(&ServerStatsSnapshot { curr_connections: 3, ..Default::default() });
         assert_eq!(a.curr_connections, 3, "gauge must not be summed by the merge");
+    }
+
+    #[test]
+    fn process_memory_parses_procfs_status_and_tolerates_absent_fields() {
+        let status = "Name:\tkv\nVmHWM:\t  204800 kB\nVmRSS:\t  102400 kB\nThreads:\t4\n";
+        let m = ProcessMemory::parse(status);
+        assert_eq!(m.rss_bytes, 100 * 1024 * 1024);
+        assert_eq!(m.peak_rss_bytes, 200 * 1024 * 1024);
+        assert_eq!(ProcessMemory::parse("Name:\tkv\nVmRSS:\tgarbage\n"), ProcessMemory::default());
     }
 }

@@ -34,11 +34,13 @@
 //!              without loading anything
 //! ```
 //!
-//! The blob header grew from 8 to 16 bytes:
+//! The blob header is three words (24 bytes):
 //!
 //! ```text
 //! word 0   meta: payload length (low 63 bits) | CLOCK reference bit (63)
 //! word 1   expire_at_ms (0 = no deadline); atomic, EXPIRE/PERSIST mutate it
+//! word 2   ledger position: index of this blob's entry in its arena's
+//!          ledger; written and read only under the ledger lock
 //! ```
 //!
 //! The CLOCK reference bit lives in the header word the read path already
@@ -88,13 +90,14 @@
 //! Hash backings cannot enumerate their keys, so each arena keeps a
 //! write-path-only ledger of live handles (one mutex per *shard*, touched
 //! only by `set`/`del` and the eviction/sweep machinery — reads stay
-//! asynchronized). Dropping the map frees every live blob through the
-//! ledger; blobs already retired are owned by the epoch machinery and
-//! freed by its collector.
+//! asynchronized). The ledger is a plain vector; each live blob records
+//! its own position in header word 2, so removing or retagging an entry
+//! is O(1) with no hashing and no second per-key table. Dropping the map
+//! frees every live blob through the ledger; blobs already retired are
+//! owned by the epoch machinery and freed by its collector.
 
 use std::alloc::Layout;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -111,11 +114,11 @@ use crate::hotkey::{
 use crate::map::ShardedMap;
 
 /// Bytes of blob header: the meta word (payload length + CLOCK reference
-/// bit) and the expiry word. The retire path reconstructs the allocation
-/// layout from the header alone.
-const HEADER: usize = 16;
+/// bit), the expiry word and the ledger-position word. The retire path
+/// reconstructs the allocation layout from the header alone.
+const HEADER: usize = 24;
 
-/// Blob alignment (a header of two `u64` words).
+/// Blob alignment (a header of three `u64` words).
 const ALIGN: usize = 8;
 
 /// Allocation sizes are rounded up to this granularity so the ssmem reuse
@@ -178,6 +181,15 @@ unsafe fn meta_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
 unsafe fn expire_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
     // SAFETY: forwarded caller contract; word 1 sits inside the header.
     unsafe { &*(ptr.add(8) as *const AtomicU64) }
+}
+
+/// The ledger-position word of a blob. Same safety contract as
+/// [`meta_cell`]; accessed only under the owning arena's ledger lock (the
+/// atomic type keeps the word's accesses race-free by construction).
+#[inline]
+unsafe fn ledger_pos_cell<'a>(ptr: *mut u8) -> &'a AtomicU64 {
+    // SAFETY: forwarded caller contract; word 2 sits inside the header.
+    unsafe { &*(ptr.add(16) as *const AtomicU64) }
 }
 
 /// The allocation layout backing a blob of `len` payload bytes. Must be a
@@ -246,16 +258,19 @@ impl ArenaStatsSnapshot {
     }
 }
 
-/// The write-path ledger: every live handle with its key, indexed by blob
-/// address (tags excluded, so retagging a handle in place — `EXPIRE` on a
-/// previously deadline-free value — keeps the entry findable), plus the
-/// persistent CLOCK hand and the TTL-sweep cursor.
+/// The write-path ledger: every live handle with its key, plus the
+/// persistent CLOCK hand and the TTL-sweep cursor. Each live blob's header
+/// word 2 holds the position of its entry, so `remove` and `retag` find it
+/// in O(1).
+///
+/// Every method takes handles of blobs that are in this ledger (stored
+/// here and not yet removed). Such a blob is not yet retired — `retire`
+/// removes the entry before handing the memory to ssmem — so writing the
+/// header of any entry, including one that `swap_remove` moves, is safe.
 #[derive(Debug, Default)]
 struct Ledger {
     /// `(key, tagged handle)` of every live blob on this shard.
     entries: Vec<(u64, u64)>,
-    /// Blob address → position in `entries`.
-    index: HashMap<u64, usize>,
     /// CLOCK hand: where the next victim scan resumes.
     hand: usize,
     /// TTL-sweep cursor: where the next sweep step resumes.
@@ -263,27 +278,39 @@ struct Ledger {
 }
 
 impl Ledger {
+    /// The position of a live entry, read from its blob header.
+    fn position(&self, handle: u64) -> usize {
+        // SAFETY: the blob is in this ledger, hence not retired (type docs).
+        let pos = unsafe { ledger_pos_cell(blob_addr(handle)).load(Ordering::Relaxed) } as usize;
+        debug_assert_eq!(self.entries[pos].1 & ADDR_MASK, handle & ADDR_MASK);
+        pos
+    }
+
+    /// Records the position of the entry at `pos` in its blob header.
+    fn set_position(&self, pos: usize) {
+        let handle = self.entries[pos].1;
+        // SAFETY: as in `position`.
+        unsafe { ledger_pos_cell(blob_addr(handle)).store(pos as u64, Ordering::Relaxed) };
+    }
+
     fn insert(&mut self, key: u64, handle: u64) {
-        self.index.insert(handle & ADDR_MASK, self.entries.len());
         self.entries.push((key, handle));
+        self.set_position(self.entries.len() - 1);
     }
 
     fn remove(&mut self, handle: u64) {
-        if let Some(pos) = self.index.remove(&(handle & ADDR_MASK)) {
-            self.entries.swap_remove(pos);
-            if pos < self.entries.len() {
-                let moved = self.entries[pos].1;
-                self.index.insert(moved & ADDR_MASK, pos);
-            }
+        let pos = self.position(handle);
+        self.entries.swap_remove(pos);
+        if pos < self.entries.len() {
+            self.set_position(pos);
         }
     }
 
     /// Rewrites the stored handle of a live entry (same blob address).
     fn retag(&mut self, handle: u64, new_handle: u64) {
         debug_assert_eq!(handle & ADDR_MASK, new_handle & ADDR_MASK);
-        if let Some(&pos) = self.index.get(&(handle & ADDR_MASK)) {
-            self.entries[pos].1 = new_handle;
-        }
+        let pos = self.position(handle);
+        self.entries[pos].1 = new_handle;
     }
 }
 
@@ -1569,6 +1596,27 @@ mod tests {
         (map, clock)
     }
 
+    /// Every ledger entry's header word names the entry's own index.
+    fn assert_positions_match(ledger: &Ledger) {
+        for (i, &(key, handle)) in ledger.entries.iter().enumerate() {
+            // SAFETY: in-ledger blobs are live; the caller holds the lock.
+            let pos = unsafe { ledger_pos_cell(blob_addr(handle)).load(Ordering::Relaxed) };
+            assert_eq!(pos, i as u64, "entry {i} (key {key}) records position {pos}");
+        }
+    }
+
+    /// Sums the ledgers of every arena, checking each entry's position.
+    fn checked_ledger_total<M: ConcurrentMap>(map: &BlobMap<M>) -> u64 {
+        map.arenas
+            .iter()
+            .map(|a| {
+                let ledger = a.ledger.lock().unwrap();
+                assert_positions_match(&ledger);
+                ledger.entries.len() as u64
+            })
+            .sum()
+    }
+
     #[test]
     fn set_get_del_roundtrip_with_binary_payloads() {
         let map = blob_map();
@@ -1740,17 +1788,68 @@ mod tests {
         }
         let stats = map.total_arena_stats();
         assert_eq!(stats.live_blobs(), 36);
-        let ledger_total: usize = map
-            .arenas
-            .iter()
-            .map(|a| {
-                let ledger = a.ledger.lock().unwrap();
-                assert_eq!(ledger.entries.len(), ledger.index.len());
-                ledger.entries.len()
-            })
-            .sum();
-        assert_eq!(ledger_total as u64, stats.live_blobs());
+        assert_eq!(checked_ledger_total(&map), stats.live_blobs());
         drop(map); // frees the 36 live blobs via the ledger
+    }
+
+    #[test]
+    fn ledger_positions_hold_under_concurrent_eviction_sweep_and_retagging() {
+        // Four writers churn two shards under a byte budget (CLOCK
+        // eviction on most fills), with short TTLs on a clock one of them
+        // cranks (lazy and swept expiry) and EXPIRE/PERSIST on
+        // deadline-free values (ledger retagging). Every removal moves an
+        // entry and rewrites its header; once quiescent, each header must
+        // still name its entry's index.
+        let clock = Arc::new(FakeClock::new());
+        let cfg = CacheConfig::unbounded().with_budget(24 * 1024).with_clock(clock.clone());
+        let map = BlobMap::with_config(2, HotKeyConfig::default(), cfg, |_| {
+            FraserOptSkipList::new()
+        });
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (map, clock) = (&map, &clock);
+                s.spawn(move || {
+                    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
+                    for i in 0..3_000u64 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let key = 1 + x % 384;
+                        let value = vec![t as u8; 32 + (x >> 40) as usize % 200];
+                        match (x >> 20) % 8 {
+                            0..=2 => {
+                                map.set(key, &value);
+                            }
+                            3 => {
+                                map.set_ex(key, &value, 1 + (x >> 50) % 16);
+                            }
+                            4 => {
+                                map.expire(key, (x >> 50) % 16);
+                            }
+                            5 => {
+                                map.persist(key);
+                            }
+                            6 => {
+                                map.del(key);
+                            }
+                            _ => {
+                                map.get_owned(key);
+                            }
+                        }
+                        if t == 0 && i % 8 == 0 {
+                            clock.advance(1);
+                        }
+                    }
+                });
+            }
+        });
+        let cache = map.cache_stats();
+        assert!(cache.evictions > 0, "the budget never evicted: {cache:?}");
+        assert!(cache.expired_swept > 0, "the sweep never reclaimed: {cache:?}");
+        let stats = map.total_arena_stats();
+        assert_eq!(checked_ledger_total(&map), stats.live_blobs());
+        assert_eq!(map.len() as u64, stats.live_blobs());
+        assert!(cache.live_bytes <= 24 * 1024 || cache.forced > 0, "{cache:?}");
     }
 
     #[test]
